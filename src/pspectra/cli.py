@@ -90,12 +90,19 @@ def build_factor(mesh, spec, p=None):
     return f
 
 
+def _solver_options(p, seed, solver_cfg):
+    try:
+        return psolve.SolveOptions(p=p, seed=seed, **solver_cfg)
+    except TypeError as exc:  # unknown or mistyped solver key
+        raise ConfigError(f"invalid solver config: {exc}") from None
+
+
 def solve_options(cfg, **overrides):
     p = float(_require(cfg, "p"))
     opts = dict(cfg.get("solver", {}))
     opts.update(overrides)
     seed = int(cfg.get("seed", opts.pop("seed", 0)))
-    return psolve.SolveOptions(p=p, seed=seed, **opts)
+    return _solver_options(p, seed, opts)
 
 
 def _timestamp():
@@ -253,7 +260,7 @@ def _sweep_case(args):
         seg = 0.5 * (sq + np.roll(sq, -1)) * mesh.element_measure
         sigma = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
         starts.append(np.cos(2.0 * np.pi * sigma / seg.sum()))
-    opts = psolve.SolveOptions(p=p, seed=seed, **solver_cfg)
+    opts = _solver_options(p, seed, solver_cfg)
     result = psolve.solve_closed(mesh, f, opts, u0=warm, extra_starts=starts,
                                  include_canonical=False)
     m = mesh.dim
@@ -341,9 +348,8 @@ def sweep_eps(config_path, out, jobs):
 
 
 def _bound_case(args):
-    (mesh_spec, p, factor_seed, amplitude, source, genus, orientable,
+    (mesh, p, factor_seed, amplitude, source, genus, orientable,
      slack, corrupt) = args
-    mesh = build_mesh(mesh_spec)
     if factor_seed is None:
         f = np.ones(mesh.n_vertices)
     else:
@@ -381,7 +387,7 @@ def verify_bound(config_path, out, jobs):
         cfg = _load_config(config_path)
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
-        mesh_spec = _require(cfg, "mesh")
+        mesh = build_mesh(_require(cfg, "mesh"))
         p = float(_require(cfg, "p"))
         n_factors = int(cfg.get("n_factors", 5))
         amplitude = float(cfg.get("amplitude", 1.0))
@@ -391,9 +397,9 @@ def verify_bound(config_path, out, jobs):
         orientable = bool(cfg.get("orientable", True))
         slack = float(cfg.get("slack", bounds_mod.MESH_SLACK))
         corrupt = bool(cfg.get("self_test_corrupt_bound", False))
-        cases = [(mesh_spec, p, None, amplitude, source, genus, orientable,
+        cases = [(mesh, p, None, amplitude, source, genus, orientable,
                   slack, corrupt)]
-        cases += [(mesh_spec, p, seed + i, amplitude, source, genus,
+        cases += [(mesh, p, seed + i, amplitude, source, genus,
                    orientable, slack, corrupt) for i in range(n_factors)]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -493,7 +499,7 @@ def dirichlet_scaling(config_path, out):
         rows = []
         for eps in eps_list:
             iv = mesh_mod.build_interval(n, -eps, eps)
-            opts = psolve.SolveOptions(p=p, seed=seed, **solver_cfg)
+            opts = _solver_options(p, seed, solver_cfg)
             fem = psolve.solve_dirichlet(iv, opts)
             oracle = psolve.shooting_eigenvalue_1d(p, "dirichlet", eps)
             rows.append([eps, fem.lam, fem.lam * eps ** p,

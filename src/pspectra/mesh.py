@@ -241,36 +241,33 @@ def build_circle(n, length):
                             pole=0, length=length)
 
 
+def _unique_edges(faces):
+    """Undirected edges of a triangle list, numbered in first-seen order.
+
+    Face k's edges are visited as (a, b), (b, c), (c, a). Returns the edges
+    as sorted vertex pairs, shape (n_edges, 2), and the edge number of each
+    face side, shape (n_faces, 3).
+    """
+    sides = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = sides[:, 0] * (int(faces.max()) + 1) + sides[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(first.size)
+    return sides[np.sort(first)], rank[inverse].reshape(-1, 3)
+
+
 def _subdivide(verts, faces):
-    verts = [v for v in verts]
-    cache = {}
-    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        idx = cache.get(key)
-        if idx is None:
-            m = verts[i] + verts[j]
-            m /= np.linalg.norm(m)
-            idx = len(verts)
-            verts.append(m)
-            cache[key] = idx
-        return idx
-
-    for k, (a, b, c) in enumerate(faces):
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces[4 * k:4 * k + 4] = [[a, ab, ca], [b, bc, ab],
-                                      [c, ca, bc], [ab, bc, ca]]
-    return np.array(verts), new_faces
-
-
-def _edge_face_map(faces):
-    m = {}
-    for fi, (a, b, c) in enumerate(faces):
-        for u, w in ((a, b), (b, c), (c, a)):
-            key = (u, w) if u < w else (w, u)
-            m.setdefault(key, []).append(fi)
-    return m
+    edges, side_edge = _unique_edges(faces)
+    mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+    mid /= np.linalg.norm(mid, axis=1)[:, None]
+    ab, bc, ca = (len(verts) + side_edge).T
+    a, b, c = faces.T
+    new_faces = np.stack([np.column_stack([a, ab, ca]),
+                          np.column_stack([b, bc, ab]),
+                          np.column_stack([c, ca, bc]),
+                          np.column_stack([ab, bc, ca])], axis=1)
+    return np.vstack([verts, mid]), new_faces.reshape(-1, 3)
 
 
 def _snap_equator(verts, min_edge):
@@ -296,20 +293,26 @@ def _conform_equator(verts, faces):
     """
     z = verts[:, 2]
     sgn = np.where(np.abs(z) <= 1e-12, 0, np.sign(z)).astype(int)
+    edges, side_edge = _unique_edges(faces)
+    crossing = sgn[edges[:, 0]] * sgn[edges[:, 1]] == -1
+    # face sides on crossing edges, grouped by edge and in face order within
+    sides = np.flatnonzero(crossing[side_edge.ravel()])
+    sides = sides[np.argsort(side_edge.ravel()[sides], kind="stable")]
+    per_edge = np.bincount(side_edge.ravel()[sides], minlength=len(edges))
+    if np.any(per_edge[crossing] != 2):
+        raise MeshError("equator-crossing edge without two faces")
+    face, slot = np.divmod(sides, 3)
+    opposite = faces[face, (slot + 2) % 3]
+    if np.any(sgn[opposite] != 0):
+        raise MeshError("cannot conform equator: off-equator rhombus")
+    f1, f2 = face[0::2], face[1::2]
+    o1, o2 = opposite[0::2], opposite[1::2]
+    u, w = edges[crossing].T
+    up = np.where(sgn[u] > 0, u, w)
+    dn = u + w - up
     faces = faces.copy()
-    for (u, w), adjacent in _edge_face_map(faces).items():
-        if sgn[u] * sgn[w] != -1:
-            continue
-        if len(adjacent) != 2:
-            raise MeshError("equator-crossing edge without two faces")
-        f1, f2 = adjacent
-        o1 = next(v for v in faces[f1] if v != u and v != w)
-        o2 = next(v for v in faces[f2] if v != u and v != w)
-        if sgn[o1] != 0 or sgn[o2] != 0:
-            raise MeshError("cannot conform equator: off-equator rhombus")
-        up, dn = (u, w) if sgn[u] > 0 else (w, u)
-        faces[f1] = (o1, o2, up)
-        faces[f2] = (o2, o1, dn)
+    faces[f1] = np.column_stack([o1, o2, up])
+    faces[f2] = np.column_stack([o2, o1, dn])
     fsig = sgn[faces]
     if np.any((fsig.min(axis=1) < 0) & (fsig.max(axis=1) > 0)):
         raise MeshError("equator conforming failed")
@@ -476,29 +479,27 @@ def load_off(path):
             line = line.split("#", 1)[0].strip()
             if line:
                 tokens.extend(line.split())
-    if tokens[0] != "OFF":
+    if not tokens or tokens[0] != "OFF":
         raise MeshError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        k = int(tokens[pos])
-        if k != 3:
-            raise MeshError("only triangle faces are supported")
-        faces.append([int(t) for t in tokens[pos + 1:pos + 4]])
-        pos += 4
-    faces = np.array(faces, dtype=np.int64)
-    counts = {}
-    for a, b, c in faces:
-        for u, w in ((a, b), (b, c), (c, a)):
-            key = (u, w) if u < w else (w, u)
-            counts[key] = counts.get(key, 0) + 1
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+        body = tokens[4:]
+        verts = np.array(body[:3 * nv], dtype=float).reshape(nv, 3)
+        rows = np.array(body[3 * nv:3 * nv + 4 * nf],
+                        dtype=np.int64).reshape(nf, 4)
+    except (IndexError, ValueError):
+        raise MeshError("truncated or malformed OFF file") from None
+    if nv <= 0 or nf <= 0:
+        raise MeshError("OFF file has no vertices or faces")
+    if np.any(rows[:, 0] != 3):
+        raise MeshError("only triangle faces are supported")
+    faces = rows[:, 1:]
+    if faces.min() < 0 or faces.max() >= nv:
+        raise MeshError("face index out of range")
+    edges, side_edge = _unique_edges(faces)
+    once = np.bincount(side_edge.ravel(), minlength=len(edges)) == 1
     boundary = np.zeros(nv, dtype=bool)
-    for (u, w), cnt in counts.items():
-        if cnt == 1:
-            boundary[u] = boundary[w] = True
+    boundary[edges[once].ravel()] = True
     kind = "hemisphere" if boundary.any() else "sphere"
     areas = _triangle_areas(verts, faces)
     pole = int(np.argmax(verts[:, 2]))

@@ -7,6 +7,12 @@ denominator over constants). The Dirichlet problem fixes boundary values to
 zero instead. Nonsmoothness of the energy for p < 2 is handled by a
 geometric continuation on the regularization parameter.
 
+At p = 2 the quotient is u'Ku / u'Mu with M = diag(rho), and the minimizer is
+computed directly as the first nonzero eigenpair of the pencil (K, M) by
+shift-invert Lanczos (ARPACK; Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+SIAM 1998). For p != 2 the closed and Neumann descents start from that p = 2
+eigenvector.
+
 Each solve owns an isolated workspace and is deterministic for a fixed seed;
 distinct solves may run concurrently.
 """
@@ -15,10 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.sparse import csr_matrix
+from scipy.linalg import eigh
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .conformal import (check_conformal_factor, energy_density_weight,
                         measure_density)
@@ -66,7 +75,9 @@ class SolveOptions:
     residual_target stops the final stage once the projected stationarity
     residual falls below it (relative to the numerator gradient scale);
     quotient stalls only end the final stage once the residual is within a
-    hundredfold of that target.
+    hundredfold of that target. At p = 2 the solvers run no descent (one
+    eigensolve gives the exact discrete minimizer) and use none of the
+    other options.
     """
 
     p: float
@@ -98,6 +109,9 @@ class SpectralResult:
     constraint_defect is the weighted p-mean of the eigenfunction (zero for
     admissible fields), gradient_residual the norm of the projected descent
     direction at termination relative to the numerator gradient scale.
+    stop_reason is "eigensolve" at p = 2, otherwise why the final descent
+    stage stopped: "residual", "stalled", "line_search_floor" or
+    "max_iterations".
     """
 
     lam: float
@@ -107,6 +121,7 @@ class SpectralResult:
     iterations: int
     restarts: int
     converged: bool
+    stop_reason: str
     history: list = field(default_factory=list, repr=False)
 
     def to_json(self):
@@ -117,6 +132,7 @@ class SpectralResult:
             "iterations": self.iterations,
             "restarts": self.restarts,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -149,11 +165,7 @@ def quotient_gradient(mesh, f, p, u, reg=0.0):
     solver's regularization; reg = 0 gives the plain quotient's gradient.
     """
     u = check_field(mesh, u)
-    f = check_conformal_factor(mesh, f)
-    ew = _element_mean(mesh, energy_density_weight(mesh, f, p))
-    nw = mesh.element_measure * ew
-    rho = measure_density(mesh, f) * mesh.vertex_measure
-    prob = _Problem(mesh, p, nw, rho)
+    prob = _weighted_problem(mesh, f, p)
     num, grad_n = prob.num_and_grad(u, reg)
     den = prob.denominator(u)
     if den <= _TINY:
@@ -193,6 +205,7 @@ def p_shift(u, weights, p, c0=None):
 
     c = float(c0) if c0 is not None and lo < c0 < hi else 0.5 * (lo + hi)
     best_c, best_h = c, np.inf
+    dx = dx_old = hi - lo
     for _ in range(80):
         h, scale, slope = balance(c)
         if abs(h) < best_h:
@@ -203,8 +216,16 @@ def p_shift(u, weights, p, c0=None):
             lo = c
         else:
             hi = c
-        step = c + h / slope if slope > 0.0 else None
-        c = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+        # Newton only while it stays in the bracket and at least halves the
+        # step before last (as in rtsafe): next to a data value the slope
+        # blows up and unguarded Newton steps crawl
+        newton = h / slope if slope > 0.0 else np.inf
+        if lo < c + newton < hi and 2.0 * abs(newton) <= dx_old:
+            dx_old, dx = dx, abs(newton)
+            c = c + newton
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            c = 0.5 * (lo + hi)
     return best_c
 
 
@@ -276,6 +297,13 @@ class _Assembly:
                                 shape=(nv, ne))
         self.E1T = self.E1.T.tocsr()
         self.E2T = None if self.E2 is None else self.E2.T.tocsr()
+        self.coords = mesh.vertices.reshape(nv, -1)
+
+    @cached_property
+    def dissection_order(self):
+        """Nested-dissection order of all vertices (shared elements are the
+        sparsity pattern of every stiffness matrix on the mesh)."""
+        return _dissection_order(self.coords, self.Sdiag @ self.Sdiag.T)
 
 
 def _assembly(mesh):
@@ -308,6 +336,16 @@ class _Problem:
             return d1 * d1
         return (self.asm.ga * d1 * d1 + 2.0 * self.asm.gb * d1 * d2
                 + self.asm.gc * d2 * d2)
+
+    def stiffness(self):
+        """Sparse K with numerator(u, 0) == u @ K @ u when p = 2."""
+        a = self.asm
+        K = a.E1T @ diags(self.nw * a.ga) @ a.E1
+        if a.E2 is not None:
+            cross = a.E1T @ diags(self.nw * a.gb) @ a.E2
+            K = K + cross + cross.T + a.E2T @ diags(self.nw * a.gc) @ a.E2
+        # a compact copy: sparse sums keep views into over-allocated buffers
+        return K.tocsr(copy=True)
 
     def numerator(self, u, reg):
         d1, d2 = self._diffs(u)
@@ -411,8 +449,9 @@ def _descend(prob, u, reg, max_iter, tol, res_target, history):
     window = 40
     res_hist = []
     it = 0
+    rel = np.inf
     reason = "max_iterations"
-    while it < max_iter:
+    while True:
         _, grad_d, normal = prob.den_bundle(u)
         g = (grad_n - quotient * grad_d) / den
         pg = prob.tangent(u, g, normal)
@@ -421,6 +460,31 @@ def _descend(prob, u, reg, max_iter, tol, res_target, history):
         res_hist.append(residual)
         if res_target is not None and residual <= res_target:
             reason = "residual"
+            break
+        # a stall only counts once the residual of the iterate that would be
+        # returned is near its target or has itself plateaued (its windowed
+        # best stopped improving)
+        if res_target is None or residual <= 100.0 * res_target:
+            res_ok = True
+        elif len(res_hist) > window:
+            res_ok = min(res_hist[-window:]) > 0.5 * min(res_hist[:-window])
+        else:
+            res_ok = False
+        if rel < tol and res_ok:
+            stall += 1
+            if stall >= stall_window:
+                reason = "stalled"
+                break
+        else:
+            stall = 0
+        # windowed stall: average decrease over the last `window` accepted
+        # steps below tolerance (catches slow sub-tolerance crawls)
+        if it >= window and res_ok:
+            drop = (history[start_len + it - window - 1] - quotient)
+            if drop < window * tol * abs(quotient):
+                reason = "stalled"
+                break
+        if it >= max_iter:
             break
         diag_n = prob.asm.Sdiag @ coef
         au = np.abs(u)
@@ -469,28 +533,6 @@ def _descend(prob, u, reg, max_iter, tol, res_target, history):
         history.append(quotient)
         num, grad_n, coef = prob.num_and_grad(u, reg, with_coef=True)
         it += 1
-        # a stall only counts once the residual is near its target or has
-        # itself plateaued (its windowed best stopped improving)
-        if res_target is None or residual <= 100.0 * res_target:
-            res_ok = True
-        elif len(res_hist) > window:
-            res_ok = min(res_hist[-window:]) > 0.5 * min(res_hist[:-window])
-        else:
-            res_ok = False
-        if rel < tol and res_ok:
-            stall += 1
-            if stall >= stall_window:
-                reason = "stalled"
-                break
-        else:
-            stall = 0
-        # windowed stall: average decrease over the last `window` accepted
-        # steps below tolerance (catches slow sub-tolerance crawls)
-        if it >= window and res_ok:
-            drop = (history[start_len + it - window - 1] - quotient)
-            if drop < window * tol * abs(quotient):
-                reason = "stalled"
-                break
     return u, it, reason
 
 
@@ -504,14 +546,84 @@ def _delta_schedule(p, delta_final):
     return stages
 
 
-def _coordinate_fields(mesh):
-    if mesh.dim == 2:
-        return [mesh.vertices[:, k].copy() for k in range(3)]
-    if mesh.kind == "circle":
-        theta = 2.0 * np.pi * mesh.vertices / mesh.length
-        return [np.cos(theta), np.sin(theta)]
-    x = mesh.vertices
-    return [x - 0.5 * (x[0] + x[-1])]
+def _dissection_order(coords, pattern, leaf=32):
+    """Geometric nested-dissection elimination order.
+
+    Each vertex set is halved at the median of its widest coordinate; the
+    vertices of the lower half with a neighbour (a nonzero of `pattern`) in
+    the upper half form the separator, ordered after both halves. Sets of at
+    most `leaf` vertices keep their order.
+    """
+    adj = pattern.tocsr(copy=True)
+    adj.data[:] = 1.0
+    upper_mask = np.zeros(adj.shape[0])
+    order = []
+    # (is a finished separator, vertex set); popped depth first, lower half
+    # before upper half before separator
+    stack = [(False, np.arange(adj.shape[0]))]
+    while stack:
+        separator, idx = stack.pop()
+        if separator or idx.size <= leaf:
+            order.append(idx)
+            continue
+        x = coords[idx]
+        axis = int(np.argmax(np.ptp(x, axis=0)))
+        ranked = idx[np.argsort(x[:, axis], kind="stable")]
+        lower, upper = ranked[:idx.size // 2], ranked[idx.size // 2:]
+        upper_mask[upper] = 1.0
+        touches = adj[lower] @ upper_mask > 0.0
+        upper_mask[upper] = 0.0
+        stack += [(True, lower[touches]), (False, upper),
+                  (False, lower[~touches])]
+    return np.concatenate(order)
+
+
+def _p2_eigenvector(prob):
+    """First nonzero eigenvector of the pencil (K, diag(rho)) at p = 2.
+
+    Shift-invert Lanczos with a fixed start vector: closed/Neumann problems
+    take the two eigenvalues nearest a small negative shift (the constant
+    null mode and the wanted one), Dirichlet problems the lowest eigenvalue
+    on the free vertices. K - sigma M is factored once, in nested-dissection
+    order, and its solves are the Lanczos operator.
+    """
+    mesh = prob.mesh
+    K = prob.stiffness()
+    perm = prob.asm.dissection_order
+    if prob.fixed is None:
+        free = np.arange(mesh.n_vertices)
+        sigma = -1e-3 * K.diagonal().sum() / prob.rho.sum()
+        k = 2
+    else:
+        free = np.flatnonzero(~prob.fixed)
+        if free.size == 0:
+            raise DegenerateFieldError("every vertex is pinned")
+        K = K[free][:, free]
+        # the mesh order restricted to the free vertices, in their numbering
+        perm = np.searchsorted(free, perm[~prob.fixed[perm]])
+        sigma = 0.0
+        k = 1
+    M = diags(prob.rho[free])
+    if free.size <= k:
+        _, vecs = eigh(K.toarray(), M.toarray())
+    else:
+        lu = splu((K - sigma * M).tocsr()[perm][:, perm].tocsc(),
+                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+
+        def solve(b):
+            x = np.empty_like(b)
+            x[perm] = lu.solve(b[perm])
+            return x
+
+        v0 = np.random.default_rng(0).standard_normal(free.size)
+        vals, vecs = eigsh(K, k=k, M=M, sigma=sigma, which="LM", v0=v0,
+                           OPinv=LinearOperator(K.shape, matvec=solve,
+                                                dtype=float))
+        vecs = vecs[:, np.argsort(vals)]
+    u = np.zeros(mesh.n_vertices)
+    u[free] = vecs[:, k - 1]
+    return u
 
 
 def _dirichlet_bump(mesh):
@@ -543,10 +655,11 @@ def _run_one_start(prob, u0, opts, budget):
         u, it, reason = _descend(prob, u, reg, cap, tol, res_target, history)
         used += it
     converged = reason in ("residual", "stalled", "line_search_floor")
-    return u, used, history, converged
+    return u, used, history, converged, reason
 
 
-def _finalize(mesh, f, p, prob, u, used, restarts, converged, history):
+def _finalize(mesh, f, p, prob, u, used, restarts, converged, history,
+              reason):
     lam = rayleigh_quotient(mesh, f, p, u) if f is not None else \
         prob.numerator(u, 0.0) / prob.denominator(u)
     den = prob.denominator(u)
@@ -565,23 +678,35 @@ def _finalize(mesh, f, p, prob, u, used, restarts, converged, history):
         iterations=used,
         restarts=restarts,
         converged=converged,
+        stop_reason=reason,
         history=history,
     )
+
+
+def _weighted_problem(mesh, f, p):
+    """Closed/Neumann problem of the conformal factor f at exponent p."""
+    f = check_conformal_factor(mesh, f)
+    ew = _element_mean(mesh, energy_density_weight(mesh, f, p))
+    return _Problem(mesh, p, mesh.element_measure * ew,
+                    measure_density(mesh, f) * mesh.vertex_measure)
+
+
+def _dirichlet_problem(mesh, p):
+    """Unweighted problem with the boundary vertices pinned to zero."""
+    return _Problem(mesh, p, mesh.element_measure.copy(),
+                    mesh.vertex_measure.copy(), fixed=mesh.boundary.copy())
 
 
 def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None,
            include_canonical=True):
     p = opts.p
     if dirichlet:
-        rho = mesh.vertex_measure.copy()
-        nw = mesh.element_measure.copy()
-        prob = _Problem(mesh, p, nw, rho, fixed=mesh.boundary.copy())
+        prob = _dirichlet_problem(mesh, p)
     else:
-        f = check_conformal_factor(mesh, f)
-        ew = _element_mean(mesh, energy_density_weight(mesh, f, p))
-        nw = mesh.element_measure * ew
-        rho = measure_density(mesh, f) * mesh.vertex_measure
-        prob = _Problem(mesh, p, nw, rho)
+        prob = _weighted_problem(mesh, f, p)
+    if p == 2.0:
+        u, _ = prob.project(_p2_eigenvector(prob))
+        return _finalize(mesh, f, p, prob, u, 0, 0, True, [], "eigensolve")
 
     starts = []
     if u0 is not None:
@@ -591,17 +716,8 @@ def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None,
     if include_canonical or not starts:
         if dirichlet:
             starts.append(_dirichlet_bump(mesh))
-        elif p == 2.0:
-            coords = _coordinate_fields(mesh)
-            best = min(coords, key=lambda v: _quotient_of_start(prob, v))
-            starts.append(best)
         else:
-            pre_opts = SolveOptions(p=2.0, max_iterations=2000,
-                                    tolerance=max(opts.tolerance, 1e-12),
-                                    delta=opts.delta, multistart=1,
-                                    seed=opts.seed)
-            pre = _solve(mesh, f, pre_opts, dirichlet=False)
-            starts.append(pre.eigenfunction)
+            starts.append(_p2_eigenvector(_weighted_problem(mesh, f, 2.0)))
     rng = np.random.default_rng(opts.seed)
     for _ in range(opts.multistart - 1):
         starts.append(rng.standard_normal(mesh.n_vertices))
@@ -611,14 +727,14 @@ def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None,
     ran = 0
     for start in starts:
         try:
-            u, used, history, converged = _run_one_start(prob, start, opts,
-                                                         opts.max_iterations)
+            u, used, history, converged, reason = _run_one_start(
+                prob, start, opts, opts.max_iterations)
         except DegenerateFieldError:
             continue
         ran += 1
         total_used += used
         candidates.append(_finalize(mesh, f, p, prob, u, total_used, ran - 1,
-                                    converged, history))
+                                    converged, history, reason))
     if not candidates:
         raise DegenerateFieldError("no admissible start field")
     # among candidates within 0.01% of the minimum, prefer a converged one
@@ -631,21 +747,15 @@ def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None,
     return best
 
 
-def _quotient_of_start(prob, v):
-    try:
-        u, _ = prob.project(np.asarray(v, dtype=float))
-    except DegenerateFieldError:
-        return np.inf
-    return prob.numerator(u, 0.0) / prob.denominator(u)
-
-
 def solve_closed(mesh, f, opts, u0=None, extra_starts=None,
                  include_canonical=True):
     """Minimize the weighted quotient on a closed mesh (p-mean constraint).
 
-    Multistart projected descent; deterministic for a fixed seed. A warm
-    start u0 and extra candidate starts are tried in addition to the
-    canonical (p = 2 presolve / coordinate) and seeded random starts;
+    At p = 2 this is one sparse eigensolve, the exact discrete minimizer;
+    u0, extra_starts, include_canonical and multistart are unused there.
+    Otherwise multistart projected descent, deterministic for a fixed seed:
+    a warm start u0 and extra candidate starts are tried in addition to the
+    canonical start (the p = 2 eigenvector) and seeded random starts;
     include_canonical=False drops the canonical start when callers supply
     problem-adapted ones.
     """
@@ -658,8 +768,9 @@ def solve_closed(mesh, f, opts, u0=None, extra_starts=None,
 
 def solve_neumann(mesh, f, opts, u0=None, extra_starts=None,
                   include_canonical=True):
-    """Closed-style descent on a mesh with boundary; the natural boundary
-    condition holds weakly, the p-mean constraint is enforced."""
+    """Closed-style solve on a mesh with boundary; the natural boundary
+    condition holds weakly, the p-mean constraint is enforced. Starts and
+    the p = 2 eigensolve as in solve_closed."""
     if not mesh.boundary.any():
         raise MeshError("solve_neumann needs a mesh with boundary")
     return _solve(mesh, f, opts, dirichlet=False, u0=u0,
@@ -670,7 +781,8 @@ def solve_neumann(mesh, f, opts, u0=None, extra_starts=None,
 def solve_dirichlet(mesh, opts, u0=None, extra_starts=None,
                     include_canonical=True):
     """Minimize the unweighted quotient over fields vanishing on the
-    boundary; no shift constraint."""
+    boundary; no shift constraint. At p = 2 one sparse eigensolve on the
+    free vertices (starts unused), otherwise descent from a bump start."""
     if not mesh.boundary.any():
         raise MeshError("solve_dirichlet needs a mesh with boundary")
     return _solve(mesh, None, opts, dirichlet=True, u0=u0,

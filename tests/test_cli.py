@@ -35,6 +35,7 @@ class TestEigen:
         assert result.exit_code == 0, result.output
         payload = json.loads((outdir / "results.json").read_text())
         assert payload["lambda"] == pytest.approx(1.0, rel=0.01)
+        assert payload["stop_reason"] == "eigensolve"
         assert (outdir / "eigenfunction.csv").exists()
         assert (outdir / "mesh.csv").exists()
 
@@ -62,6 +63,27 @@ class TestEigen:
     def test_missing_config_exits_one(self, outdir):
         result = run(["eigen", "--config", "nope.json", "--out", str(outdir)])
         assert result.exit_code == 1
+
+    def test_unknown_solver_key_exits_one(self, tmp_path, outdir):
+        cfg = write_config(tmp_path / "bad.json", {
+            "mesh": CIRCLE, "p": 2.0, "factor": {"kind": "constant"},
+            "seed": 0, "solver": {"multistart": 1, "max_iters": 10},
+        })
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert "error: invalid solver config" in result.output
+        assert "Traceback" not in result.output
+
+    def test_empty_off_mesh_exits_one(self, tmp_path, outdir):
+        (tmp_path / "empty.off").write_text("OFF\n0 0 0\n")
+        cfg = write_config(tmp_path / "bad.json", {
+            "mesh": {"kind": "off", "path": str(tmp_path / "empty.off")},
+            "p": 2.0, "factor": {"kind": "constant"}, "seed": 0,
+        })
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert "error: OFF file has no vertices or faces" in result.output
+        assert "Traceback" not in result.output
 
 
 class TestSweepEps:
@@ -211,7 +233,8 @@ class TestNonConvergenceFlag:
         result = run(["eigen", "--config", cfg, "--out", str(outdir)])
         assert result.exit_code == 2
         # results are still written for inspection
-        assert (outdir / "results.json").exists()
+        payload = json.loads((outdir / "results.json").read_text())
+        assert payload["stop_reason"] == "max_iterations"
 
 
 class TestJobs:

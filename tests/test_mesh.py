@@ -5,6 +5,7 @@ from pspectra import (MeshError, build_circle, build_icosphere,
                       build_interval, colatitude, extract_hemisphere,
                       integrate, load_mesh_csv, load_off, pl_gradient_sq,
                       save_mesh_csv, save_off)
+from pspectra import mesh as mesh_mod
 
 
 class TestInterval:
@@ -46,6 +47,60 @@ class TestCircle:
             build_circle(2, 1.0)
         with pytest.raises(MeshError):
             build_circle(10, 0.0)
+
+
+def _loop_subdivide(verts, faces):
+    """Reference quadrisection: midpoints numbered as first met, face by
+    face, edge by edge."""
+    verts, cache, new_faces = list(verts), {}, []
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            m = verts[i] + verts[j]
+            cache[key] = len(verts)
+            verts.append(m / np.linalg.norm(m))
+        return cache[key]
+
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+    return np.array(verts), np.array(new_faces)
+
+
+def _loop_conform(verts, faces):
+    """Reference equator flips, one crossing edge at a time."""
+    z = verts[:, 2]
+    sgn = np.where(np.abs(z) <= 1e-12, 0, np.sign(z)).astype(int)
+    adjacent = {}
+    for fi, (a, b, c) in enumerate(faces):
+        for u, w in ((a, b), (b, c), (c, a)):
+            adjacent.setdefault((min(u, w), max(u, w)), []).append(fi)
+    faces = faces.copy()
+    for (u, w), (f1, f2) in ((e, fs) for e, fs in adjacent.items()
+                             if sgn[e[0]] * sgn[e[1]] == -1):
+        o1 = next(v for v in faces[f1] if v not in (u, w))
+        o2 = next(v for v in faces[f2] if v not in (u, w))
+        up, dn = (u, w) if sgn[u] > 0 else (w, u)
+        faces[f1], faces[f2] = (o1, o2, up), (o2, o1, dn)
+    return faces
+
+
+def test_vectorized_build_matches_loop_reference():
+    verts = mesh_mod._ICO_VERTICES / np.linalg.norm(
+        mesh_mod._ICO_VERTICES, axis=1)[:, None]
+    faces = mesh_mod._ICO_FACES
+    for _ in range(5):
+        ref_verts, ref_faces = _loop_subdivide(verts, faces)
+        verts, faces = mesh_mod._subdivide(verts, faces)
+        assert np.array_equal(faces, ref_faces)
+        # midpoint norms are summed in another order: a few ulps of 1
+        assert np.max(np.abs(verts - ref_verts)) <= 4.0 * np.finfo(float).eps
+        edge = verts[faces] - verts[faces[:, [1, 2, 0]]]
+        snapped = mesh_mod._snap_equator(
+            verts, float(np.linalg.norm(edge, axis=2).min()))
+        assert np.array_equal(mesh_mod._conform_equator(snapped, faces),
+                              _loop_conform(snapped, faces))
 
 
 class TestIcosphere:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pspectra import (DegenerateFieldError, SolveOptions, build_circle,
@@ -12,7 +12,9 @@ from pspectra import (DegenerateFieldError, SolveOptions, build_circle,
                       smooth_band_plateau_factor, band_plateau_factor,
                       solve_closed, solve_dirichlet, solve_neumann,
                       split_band_plateau)
-from pspectra.psolve import quotient_gradient
+from pspectra.psolve import (_dirichlet_bump, _dirichlet_problem,
+                             _run_one_start, _weighted_problem,
+                             quotient_gradient)
 
 
 def ones(mesh):
@@ -71,6 +73,8 @@ class TestPShift:
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1.1, 6.0), st.integers(0, 2 ** 31 - 1))
+    # root next to a data value, where unguarded Newton steps used to crawl
+    @example(1.25, 2691)
     def test_balance_root_property(self, p, seed):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(30)
@@ -447,3 +451,52 @@ class TestFactorDominationChain:
                                              max_iterations=6000),
                                 extra_starts=[u_t])
         assert res_sing.lam <= q_sing * (1.0 + 1e-9)
+
+
+def _p2_case(kind, sphere3):
+    """(p = 2 solve, its problem, a descent start) for one problem type."""
+    opts = SolveOptions(p=2.0)
+    f = random_smooth_factor(sphere3, seed=2)
+    if kind == "closed":
+        return (lambda: solve_closed(sphere3, f, opts),
+                _weighted_problem(sphere3, f, 2.0), sphere3.vertices[:, 2])
+    if kind == "neumann":
+        hemi = extract_hemisphere(sphere3)
+        f_h = f[hemi.parent_index]
+        return (lambda: solve_neumann(hemi, f_h, opts),
+                _weighted_problem(hemi, f_h, 2.0), hemi.vertices[:, 0])
+    iv = build_interval(200, -1.0, 1.0)
+    return (lambda: solve_dirichlet(iv, opts), _dirichlet_problem(iv, 2.0),
+            _dirichlet_bump(iv))
+
+
+@pytest.mark.parametrize("kind", ["closed", "neumann", "dirichlet"])
+class TestP2Eigensolve:
+    """The p = 2 eigensolve against the projected descent it replaced."""
+
+    def test_stiffness_is_the_numerator(self, sphere3, kind):
+        _, prob, _ = _p2_case(kind, sphere3)
+        u = np.random.default_rng(5).standard_normal(prob.mesh.n_vertices)
+        assert u @ prob.stiffness() @ u == pytest.approx(
+            prob.numerator(u, 0.0), rel=1e-12)
+
+    def test_not_above_tight_descent(self, sphere3, kind):
+        solve, prob, start = _p2_case(kind, sphere3)
+        res = solve()
+        assert res.iterations == 0
+        assert res.stop_reason == "eigensolve"
+        tight = SolveOptions(p=2.0, multistart=1, tolerance=1e-14,
+                             residual_target=1e-10, max_iterations=40000)
+        u, *_ = _run_one_start(prob, start, tight, tight.max_iterations)
+        descent = prob.numerator(u, 0.0) / prob.denominator(u)
+        v = res.eigenfunction
+        lam = prob.numerator(v, 0.0) / prob.denominator(v)
+        assert lam == pytest.approx(res.lam, rel=1e-12)
+        assert lam <= descent
+        assert lam == pytest.approx(descent, rel=1e-6)
+
+    def test_admissible_and_reproducible(self, sphere3, kind):
+        solve, _, _ = _p2_case(kind, sphere3)
+        first, second = solve(), solve()
+        assert first.constraint_defect <= 1e-12
+        assert np.array_equal(first.eigenfunction, second.eigenfunction)
