@@ -16,7 +16,7 @@ from .psolve import (ConvergenceError, DegenerateFieldError, RadialProfile,
                      positive_negative_quotients, radial_average,
                      rayleigh_quotient, reflect_even, shooting_eigenvalue_1d,
                      sign_split_shift, solve_closed, solve_dirichlet,
-                     solve_neumann, split_band_plateau)
+                     solve_neumann, split_band_plateau, weighted_problem)
 from .mobius import (BalanceResult, MobiusMap, balance, balanced_energy_bound,
                      moment_vector, stereographic, stereographic_inverse,
                      sup_image_volume)

@@ -8,6 +8,8 @@ produce byte-identical CSV up to the timestamp header line. Exit codes:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,82 +29,114 @@ class ConfigError(ValueError):
     pass
 
 
+_REQUIRED = object()
+_JSON_TYPES = {float: "JSON number", int: "JSON integer", bool: "JSON boolean",
+               str: "JSON string", dict: "JSON object",
+               list: "non-empty JSON array of numbers"}
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
-def _require(cfg, key):
+def _is(value, kind):
+    """Whether a JSON value reads as kind: booleans are not numbers, every
+    number reads as a float and an integral one as an int."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is int and isinstance(value, float):
+        return value.is_integer()
+    if kind is list:
+        return (isinstance(value, list) and len(value) > 0
+                and all(_is(v, float) for v in value))
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _get(cfg, key, kind, default=_REQUIRED):
+    """cfg[key] read as kind: float, int, bool, str, dict, or list (of
+    numbers, read as floats). ConfigError when the key is missing and has no
+    default, or when its value has another JSON type."""
     if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing required key {key!r}")
+        return default
+    value = cfg[key]
+    if not _is(value, kind):
+        raise ConfigError(f"config key {key!r} must be a {_JSON_TYPES[kind]}")
+    return [float(v) for v in value] if kind is list else kind(value)
 
 
 def build_mesh(spec):
-    kind = _require(spec, "kind")
+    kind = _get(spec, "kind", str)
     if kind == "interval":
-        return mesh_mod.build_interval(_require(spec, "n"),
-                                       _require(spec, "a"), _require(spec, "b"))
+        return mesh_mod.build_interval(_get(spec, "n", int),
+                                       _get(spec, "a", float),
+                                       _get(spec, "b", float))
     if kind == "circle":
-        return mesh_mod.build_circle(_require(spec, "n"),
-                                     _require(spec, "length"))
+        return mesh_mod.build_circle(_get(spec, "n", int),
+                                     _get(spec, "length", float))
     if kind == "icosphere":
-        return mesh_mod.build_icosphere(_require(spec, "level"))
+        return mesh_mod.build_icosphere(_get(spec, "level", int))
     if kind == "hemisphere":
-        sphere = mesh_mod.build_icosphere(_require(spec, "level"))
+        sphere = mesh_mod.build_icosphere(_get(spec, "level", int))
         return mesh_mod.extract_hemisphere(sphere)
     if kind == "off":
-        return mesh_mod.load_off(_require(spec, "path"))
+        return mesh_mod.load_off(_get(spec, "path", str))
     if kind == "csv":
-        return mesh_mod.load_mesh_csv(_require(spec, "path"))
+        return mesh_mod.load_mesh_csv(_get(spec, "path", str))
     raise ConfigError(f"unknown mesh kind {kind!r}")
 
 
 def build_factor(mesh, spec, p=None):
-    kind = _require(spec, "kind")
+    kind = _get(spec, "kind", str)
     if kind == "constant":
-        f = np.full(mesh.n_vertices, float(spec.get("value", 1.0)))
+        f = np.full(mesh.n_vertices, _get(spec, "value", float, 1.0))
     elif kind == "random_smooth":
         f = conformal.random_smooth_factor(
-            mesh, _require(spec, "seed"),
-            amplitude=float(spec.get("amplitude", 1.0)),
-            symmetric=bool(spec.get("symmetric", False)))
+            mesh, _get(spec, "seed", int),
+            amplitude=_get(spec, "amplitude", float, 1.0),
+            symmetric=_get(spec, "symmetric", bool, False))
     elif kind == "band_plateau":
         if p is None:
             raise ConfigError("band_plateau factor needs p")
         builder = (conformal.smooth_band_plateau_factor
-                   if spec.get("smooth", True)
+                   if _get(spec, "smooth", bool, True)
                    else conformal.band_plateau_factor)
-        f = builder(mesh, _require(spec, "eps"), p)
+        f = builder(mesh, _get(spec, "eps", float), p)
     elif kind == "cap":
-        f = conformal.cap_density(mesh, _require(spec, "direction"),
-                                  float(spec.get("concentration", 8.0)))
+        f = conformal.cap_density(mesh, _get(spec, "direction", list),
+                                  _get(spec, "concentration", float, 8.0))
     elif kind == "csv":
-        f = conformal.load_factor_csv(_require(spec, "path"))
+        f = conformal.load_factor_csv(_get(spec, "path", str))
         f = mesh_mod.check_field(mesh, f, "factor file")
     else:
         raise ConfigError(f"unknown factor kind {kind!r}")
-    if spec.get("normalize", False):
+    if _get(spec, "normalize", bool, False):
         f = conformal.normalize_unit_volume(mesh, f)
     return f
 
 
-def _solver_options(p, seed, solver_cfg):
-    try:
-        return psolve.SolveOptions(p=p, seed=seed, **solver_cfg)
-    except TypeError as exc:  # unknown or mistyped solver key
-        raise ConfigError(f"invalid solver config: {exc}") from None
-
-
-def solve_options(cfg, **overrides):
-    p = float(_require(cfg, "p"))
-    opts = dict(cfg.get("solver", {}))
-    opts.update(overrides)
-    seed = int(cfg.get("seed", opts.pop("seed", 0)))
-    return _solver_options(p, seed, opts)
+def solve_options(cfg, **defaults):
+    """SolveOptions from the config's p, seed and solver block; defaults are
+    a command's own values for keys the solver block leaves unset. The seed
+    is the config's, else the solver block's, else 0."""
+    solver = {**defaults, **_get(cfg, "solver", dict, {})}
+    kinds = {f.name: type(f.default)
+             for f in dataclasses.fields(psolve.SolveOptions)
+             if f.name != "p"}
+    unknown = sorted(set(solver) - set(kinds))
+    if unknown:
+        raise ConfigError(f"invalid solver config: unknown keys {unknown}")
+    opts = {key: _get(solver, key, kinds[key]) for key in solver}
+    opts["seed"] = _get(cfg, "seed", int, opts.get("seed", 0))
+    return psolve.SolveOptions(p=_get(cfg, "p", float), **opts)
 
 
 def _timestamp():
@@ -178,17 +212,6 @@ def _save_mesh(mesh, outdir):
         mesh_mod.save_mesh_csv(mesh, outdir / "mesh.csv")
 
 
-def _result_payload(result, **extra):
-    payload = result.to_json()
-    payload.update(extra)
-    return payload
-
-
-def _fail(message, code=1):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 @click.group()
 def main():
     """First-eigenvalue experiments on weighted circles and spheres.
@@ -197,55 +220,69 @@ def main():
     """
 
 
-def _common(fn):
-    fn = click.option("--out", default="pspectra_out", show_default=True,
-                      help="Output directory.")(fn)
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(), help="JSON config file.")(fn)
-    return fn
+def command(body):
+    """Register body(cfg, outdir, **options) as a command of main.
+
+    The body returns its results payload, a flag message or None, and its
+    success line. The command loads --config, creates --out and writes the
+    payload to results.json; a validation, I/O or convergence error exits 1
+    with its message, a flag exits 2 once the results are written.
+    """
+    @main.command()
+    @click.option("--config", "config_path", required=True,
+                  type=click.Path(), help="JSON config file.")
+    @click.option("--out", default="pspectra_out", show_default=True,
+                  help="Output directory.")
+    @functools.wraps(body)
+    def run(config_path, out, **options):
+        try:
+            cfg = _load_config(config_path)
+            outdir = Path(out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            payload, flag, message = body(cfg, outdir, **options)
+            write_json(outdir / "results.json", payload)
+        except (ValueError, OSError, psolve.ConvergenceError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        if flag is not None:
+            click.echo(f"flagged: {flag}", err=True)
+            sys.exit(2)
+        click.echo(message)
+    return run
 
 
-@main.command()
-@_common
-def eigen(config_path, out):
+@command
+def eigen(cfg, outdir):
     """Solve one eigenvalue problem.
 
     Config: mesh, p, factor, problem (closed|neumann|dirichlet), solver,
     seed. Writes results.json, eigenfunction.csv and the mesh file.
     """
-    try:
-        cfg = _load_config(config_path)
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        mesh = build_mesh(_require(cfg, "mesh"))
-        opts = solve_options(cfg)
-        problem = cfg.get("problem", "closed")
-        if problem == "dirichlet":
-            result = psolve.solve_dirichlet(mesh, opts)
+    mesh = build_mesh(_get(cfg, "mesh", dict))
+    opts = solve_options(cfg)
+    problem = _get(cfg, "problem", str, "closed")
+    if problem == "dirichlet":
+        result = psolve.solve_dirichlet(mesh, opts)
+    else:
+        f = build_factor(mesh, _get(cfg, "factor", dict), p=opts.p)
+        if problem == "closed":
+            result = psolve.solve_closed(mesh, f, opts)
+        elif problem == "neumann":
+            result = psolve.solve_neumann(mesh, f, opts)
         else:
-            f = build_factor(mesh, _require(cfg, "factor"), p=opts.p)
-            if problem == "closed":
-                result = psolve.solve_closed(mesh, f, opts)
-            elif problem == "neumann":
-                result = psolve.solve_neumann(mesh, f, opts)
-            else:
-                raise ConfigError(f"unknown problem {problem!r}")
-    except (ValueError, OSError) as exc:
-        _fail(exc)
-    write_json(outdir / "results.json", _result_payload(result, p=opts.p,
-                                                        problem=problem))
+            raise ConfigError(f"unknown problem {problem!r}")
     conformal.save_factor_csv(result.eigenfunction,
                               outdir / "eigenfunction.csv")
     _save_mesh(mesh, outdir)
-    if not result.converged:
-        click.echo("flagged: solver did not meet its convergence criteria",
-                   err=True)
-        sys.exit(2)
-    click.echo(f"lambda = {result.lam:.12g}")
+    flag = (None if result.converged
+            else "solver did not meet its convergence criteria")
+    return ({**result.to_json(), "p": opts.p, "problem": problem}, flag,
+            f"lambda = {result.lam:.12g}")
 
 
 def _sweep_case(args):
-    mesh_spec, p, eps, solver_cfg, seed, warm = args
+    mesh_spec, eps, opts, warm = args
+    p = opts.p
     mesh = build_mesh(mesh_spec)
     f = conformal.smooth_band_plateau_factor(mesh, eps, p)
     vol = conformal.volume(mesh, f)
@@ -260,7 +297,6 @@ def _sweep_case(args):
         seg = 0.5 * (sq + np.roll(sq, -1)) * mesh.element_measure
         sigma = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
         starts.append(np.cos(2.0 * np.pi * sigma / seg.sum()))
-    opts = _solver_options(p, seed, solver_cfg)
     result = psolve.solve_closed(mesh, f, opts, u0=warm, extra_starts=starts,
                                  include_canonical=False)
     m = mesh.dim
@@ -276,11 +312,10 @@ def _sweep_case(args):
     }
 
 
-@main.command("sweep-eps")
-@_common
+@command
 @click.option("--jobs", default=1, show_default=True,
               help="Run eps cases concurrently (no warm starts).")
-def sweep_eps(config_path, out, jobs):
+def sweep_eps(cfg, outdir, jobs):
     """Blow-up sweep: for each eps build the smooth band/plateau factor,
     solve, and check the growth trend.
 
@@ -292,36 +327,27 @@ def sweep_eps(config_path, out, jobs):
     strictly increasing and lambda_eps_scaled nondecreasing along
     decreasing eps; exit 2 when the trend or convergence fails.
     """
-    try:
-        cfg = _load_config(config_path)
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        mesh_spec = _require(cfg, "mesh")
-        mesh = build_mesh(mesh_spec)
-        p = float(_require(cfg, "p"))
-        if p <= mesh.dim:
-            raise ConfigError("blow-up sweep needs p > mesh dimension")
-        eps_list = [float(e) for e in _require(cfg, "eps")]
-        if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            raise ConfigError("eps list must be strictly decreasing")
+    mesh_spec = _get(cfg, "mesh", dict)
+    mesh = build_mesh(mesh_spec)
+    opts = solve_options(cfg)
+    if opts.p <= mesh.dim:
+        raise ConfigError("blow-up sweep needs p > mesh dimension")
+    eps_list = _get(cfg, "eps", list)
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ConfigError("eps list must be strictly decreasing")
+    for eps in eps_list:
+        conformal.smooth_band_plateau_factor(mesh, eps, opts.p)  # validates
+    if jobs > 1:
+        cases = [(mesh_spec, eps,
+                  dataclasses.replace(opts, seed=opts.seed + i), None)
+                 for i, eps in enumerate(eps_list)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(_sweep_case, cases))
+    else:
+        rows, warm = [], None
         for eps in eps_list:
-            conformal.smooth_band_plateau_factor(mesh, eps, p)  # validates
-        solver_cfg = dict(cfg.get("solver", {}))
-        seed = int(cfg.get("seed", 0))
-        rows = []
-        if jobs > 1:
-            cases = [(mesh_spec, p, eps, solver_cfg, seed + i, None)
-                     for i, eps in enumerate(eps_list)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_case, cases))
-        else:
-            warm = None
-            for eps in eps_list:
-                row = _sweep_case((mesh_spec, p, eps, solver_cfg, seed, warm))
-                warm = row["eigenfunction"]
-                rows.append(row)
-    except (ValueError, OSError) as exc:
-        _fail(exc)
+            rows.append(_sweep_case((mesh_spec, eps, opts, warm)))
+            warm = rows[-1]["eigenfunction"]
     columns = ["eps", "lambda", "volume", "lambda_eps_scaled",
                "lambda_unit_volume"]
     write_csv(outdir / "rows.csv", columns,
@@ -335,20 +361,20 @@ def sweep_eps(config_path, out, jobs):
     increasing = all(b > a for a, b in zip(lams, lams[1:]))
     nondecreasing = all(b >= a for a, b in zip(scaled, scaled[1:]))
     all_converged = all(r["converged"] for r in rows)
-    write_json(outdir / "results.json", {
+    payload = {
         "eps": eps_list, "lambda": lams, "lambda_eps_scaled": scaled,
         "strictly_increasing": increasing,
         "scaled_nondecreasing": nondecreasing,
         "converged": all_converged,
-    })
-    if not (increasing and nondecreasing and all_converged):
-        click.echo("flagged: blow-up trend or convergence failed", err=True)
-        sys.exit(2)
-    click.echo(f"lambda grew {lams[-1] / lams[0]:.3g}x over the sweep")
+    }
+    flag = (None if increasing and nondecreasing and all_converged
+            else "blow-up trend or convergence failed")
+    return (payload, flag,
+            f"lambda grew {lams[-1] / lams[0]:.3g}x over the sweep")
 
 
 def _bound_case(args):
-    (mesh, p, factor_seed, amplitude, source, genus, orientable,
+    (mesh, opts, factor_seed, amplitude, source, genus, orientable,
      slack, corrupt) = args
     if factor_seed is None:
         f = np.ones(mesh.n_vertices)
@@ -356,10 +382,6 @@ def _bound_case(args):
         f = conformal.random_smooth_factor(mesh, factor_seed,
                                            amplitude=amplitude)
     f = conformal.normalize_unit_volume(mesh, f)
-    opts = psolve.SolveOptions(p=p, seed=0 if factor_seed is None
-                               else factor_seed, multistart=1,
-                               tolerance=1e-6, residual_target=1e-3,
-                               max_iterations=9000)
     report = bounds_mod.verify_bound(mesh, f, opts, source=source,
                                      genus=genus, orientable=orientable,
                                      tolerance=slack)
@@ -371,91 +393,70 @@ def _bound_case(args):
     return report
 
 
-@main.command("verify-bound")
-@_common
+@command
 @click.option("--jobs", default=1, show_default=True)
-def verify_bound(config_path, out, jobs):
+def verify_bound(cfg, outdir, jobs):
     """Check solved eigenvalues against the closed-form upper bound.
 
     Config: mesh (icosphere), p (1 < p <= 2), n_factors, amplitude, seed,
-    source (conformal_volume|genus_surface), genus, orientable, slack, and
-    the self-test flag self_test_corrupt_bound. One CSV row per sampled unit-volume factor
-    (columns: case, bound_value, computed_lambda, slack, passed); the round
-    factor is case 0. Nonzero exit if any case fails.
+    source (conformal_volume|genus_surface), genus, orientable, slack,
+    solver, and the self-test flag self_test_corrupt_bound. One CSV row per
+    sampled unit-volume factor (columns: case, bound_value,
+    computed_lambda, slack, passed); the round factor is case 0. Nonzero
+    exit if any case fails.
     """
-    try:
-        cfg = _load_config(config_path)
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        mesh = build_mesh(_require(cfg, "mesh"))
-        p = float(_require(cfg, "p"))
-        n_factors = int(cfg.get("n_factors", 5))
-        amplitude = float(cfg.get("amplitude", 1.0))
-        seed = int(cfg.get("seed", 0))
-        source = cfg.get("source", "conformal_volume")
-        genus = int(cfg.get("genus", 0))
-        orientable = bool(cfg.get("orientable", True))
-        slack = float(cfg.get("slack", bounds_mod.MESH_SLACK))
-        corrupt = bool(cfg.get("self_test_corrupt_bound", False))
-        cases = [(mesh, p, None, amplitude, source, genus, orientable,
-                  slack, corrupt)]
-        cases += [(mesh, p, seed + i, amplitude, source, genus,
-                   orientable, slack, corrupt) for i in range(n_factors)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(_bound_case, cases))
-        else:
-            reports = [_bound_case(c) for c in cases]
-    except (ValueError, OSError) as exc:
-        _fail(exc)
+    mesh = build_mesh(_get(cfg, "mesh", dict))
+    opts = solve_options(cfg, multistart=1, tolerance=1e-6,
+                         residual_target=1e-3, max_iterations=9000)
+    seed = _get(cfg, "seed", int, 0)
+    shared = (_get(cfg, "amplitude", float, 1.0),
+              _get(cfg, "source", str, "conformal_volume"),
+              _get(cfg, "genus", int, 0), _get(cfg, "orientable", bool, True),
+              _get(cfg, "slack", float, bounds_mod.MESH_SLACK),
+              _get(cfg, "self_test_corrupt_bound", bool, False))
+    # the round factor is solved with seed 0, a random one with its own seed
+    factor_seeds = [None] + [seed + i for i in
+                             range(_get(cfg, "n_factors", int, 5))]
+    cases = [(mesh, dataclasses.replace(opts, seed=0 if s is None else s), s)
+             + shared for s in factor_seeds]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            reports = list(pool.map(_bound_case, cases))
+    else:
+        reports = [_bound_case(c) for c in cases]
     rows = [[i, r.bound_value, r.computed_lambda, r.slack, int(r.passed)]
             for i, r in enumerate(reports)]
     write_csv(outdir / "rows.csv",
               ["case", "bound_value", "computed_lambda", "slack", "passed"],
               rows)
-    write_json(outdir / "results.json",
-               {"reports": [r.to_json() for r in reports],
-                "all_passed": all(r.passed for r in reports)})
-    if not all(r.passed for r in reports):
-        click.echo("flagged: bound violated", err=True)
-        sys.exit(2)
-    click.echo(f"all {len(reports)} cases within the bound")
+    passed = all(r.passed for r in reports)
+    return ({"reports": [r.to_json() for r in reports], "all_passed": passed},
+            None if passed else "bound violated",
+            f"all {len(reports)} cases within the bound")
 
 
-@main.command()
-@_common
-def reflect(config_path, out):
+@command
+def reflect(cfg, outdir):
     """Even-reflection comparison: closed sphere vs hemisphere Neumann.
 
     Config: mesh (icosphere), p, factor (must satisfy f(r) = f(pi - r)),
     solver, seed. Writes the two eigenvalues, the reflected-field quotient,
     the constraint defect of the reflection, and the inequality slack.
     """
-    try:
-        cfg = _load_config(config_path)
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        sphere = build_mesh(_require(cfg, "mesh"))
-        if sphere.kind != "sphere":
-            raise ConfigError("reflection needs an icosphere mesh")
-        opts = solve_options(cfg)
-        f = build_factor(sphere, _require(cfg, "factor"), p=opts.p)
-        mirror = psolve.mirror_index(sphere)
-        if np.max(np.abs(f - f[mirror])) > 1e-10 * np.max(f):
-            raise ConfigError("factor is not symmetric about the equator")
-        hemi = mesh_mod.extract_hemisphere(sphere)
-        f_h = f[hemi.parent_index]
-        neumann = psolve.solve_neumann(hemi, f_h, opts)
-        w = psolve.reflect_even(neumann.eigenfunction, hemi, sphere)
-        quotient = psolve.rayleigh_quotient(sphere, f, opts.p, w)
-        dens = conformal.measure_density(sphere, f)
-        rho = dens * sphere.vertex_measure
-        au = np.abs(w)
-        defect = abs(float(np.sum(np.sign(w) * au ** (opts.p - 1.0) * rho)))
-        defect /= float(np.sum(au ** (opts.p - 1.0) * rho))
-        closed = psolve.solve_closed(sphere, f, opts, extra_starts=[w])
-    except (ValueError, OSError) as exc:
-        _fail(exc)
+    sphere = build_mesh(_get(cfg, "mesh", dict))
+    if sphere.kind != "sphere":
+        raise ConfigError("reflection needs an icosphere mesh")
+    opts = solve_options(cfg)
+    f = build_factor(sphere, _get(cfg, "factor", dict), p=opts.p)
+    mirror = psolve.mirror_index(sphere)
+    if np.max(np.abs(f - f[mirror])) > 1e-10 * np.max(f):
+        raise ConfigError("factor is not symmetric about the equator")
+    hemi = mesh_mod.extract_hemisphere(sphere)
+    neumann = psolve.solve_neumann(hemi, f[hemi.parent_index], opts)
+    w = psolve.reflect_even(neumann.eigenfunction, hemi, sphere)
+    quotient = psolve.rayleigh_quotient(sphere, f, opts.p, w)
+    defect = psolve.weighted_problem(sphere, f, opts.p).constraint_defect(w)
+    closed = psolve.solve_closed(sphere, f, opts, extra_starts=[w])
     payload = {
         "p": opts.p,
         "lambda_closed": closed.lam,
@@ -466,16 +467,14 @@ def reflect(config_path, out):
         "inequality_holds": closed.lam <= quotient * (1.0 + 1e-9),
         "converged": closed.converged and neumann.converged,
     }
-    write_json(outdir / "results.json", payload)
-    if not payload["converged"] or not payload["inequality_holds"]:
-        click.echo("flagged: reflection comparison failed", err=True)
-        sys.exit(2)
-    click.echo(f"closed {closed.lam:.6g} <= neumann {neumann.lam:.6g}")
+    flag = (None if payload["converged"] and payload["inequality_holds"]
+            else "reflection comparison failed")
+    return (payload, flag,
+            f"closed {closed.lam:.6g} <= neumann {neumann.lam:.6g}")
 
 
-@main.command("dirichlet-scaling")
-@_common
-def dirichlet_scaling(config_path, out):
+@command
+def dirichlet_scaling(cfg, outdir):
     """Dirichlet eigenvalues on (-eps, eps): the scaled column is constant.
 
     Config: p, eps (list), n (mesh segments), solver, seed. CSV columns:
@@ -483,29 +482,17 @@ def dirichlet_scaling(config_path, out):
     (scaled = lambda * eps^p). Asserts the scaled columns constant within
     1e-6 (FEM, proportionally scaled meshes) and 1e-9 (shooting oracle).
     """
-    try:
-        cfg = _load_config(config_path)
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        p = float(_require(cfg, "p"))
-        eps_list = [float(e) for e in _require(cfg, "eps")]
-        n = int(cfg.get("n", 400))
-        solver_cfg = dict(cfg.get("solver", {}))
-        solver_cfg.setdefault("multistart", 1)
-        solver_cfg.setdefault("tolerance", 1e-14)
-        solver_cfg.setdefault("residual_target", 1e-9)
-        solver_cfg.setdefault("max_iterations", 60000)
-        seed = int(cfg.get("seed", 0))
-        rows = []
-        for eps in eps_list:
-            iv = mesh_mod.build_interval(n, -eps, eps)
-            opts = _solver_options(p, seed, solver_cfg)
-            fem = psolve.solve_dirichlet(iv, opts)
-            oracle = psolve.shooting_eigenvalue_1d(p, "dirichlet", eps)
-            rows.append([eps, fem.lam, fem.lam * eps ** p,
-                         oracle, oracle * eps ** p])
-    except (ValueError, OSError, psolve.ConvergenceError) as exc:
-        _fail(exc)
+    opts = solve_options(cfg, multistart=1, tolerance=1e-14,
+                         residual_target=1e-9, max_iterations=60000)
+    p = opts.p
+    n = _get(cfg, "n", int, 400)
+    rows = []
+    for eps in _get(cfg, "eps", list):
+        fem = psolve.solve_dirichlet(mesh_mod.build_interval(n, -eps, eps),
+                                     opts)
+        oracle = psolve.shooting_eigenvalue_1d(p, "dirichlet", eps)
+        rows.append([eps, fem.lam, fem.lam * eps ** p,
+                     oracle, oracle * eps ** p])
     write_csv(outdir / "rows.csv",
               ["eps", "lambda_fem", "lambda_fem_scaled", "lambda_oracle",
                "lambda_oracle_scaled"], rows)
@@ -513,63 +500,53 @@ def dirichlet_scaling(config_path, out):
     orc_scaled = [r[4] for r in rows]
     fem_ok = max(abs(v / fem_scaled[0] - 1.0) for v in fem_scaled) <= 1e-6
     orc_ok = max(abs(v / orc_scaled[0] - 1.0) for v in orc_scaled) <= 1e-9
-    write_json(outdir / "results.json",
-               {"fem_constant_1e6": fem_ok, "oracle_constant_1e9": orc_ok,
-                "fem_scaled": fem_scaled, "oracle_scaled": orc_scaled})
-    if not (fem_ok and orc_ok):
-        click.echo("flagged: scaled Dirichlet column is not constant",
-                   err=True)
-        sys.exit(2)
-    click.echo(f"lambda * eps^p = {orc_scaled[0]:.12g} (constant)")
+    return ({"fem_constant_1e6": fem_ok, "oracle_constant_1e9": orc_ok,
+             "fem_scaled": fem_scaled, "oracle_scaled": orc_scaled},
+            None if fem_ok and orc_ok
+            else "scaled Dirichlet column is not constant",
+            f"lambda * eps^p = {orc_scaled[0]:.12g} (constant)")
 
 
-@main.command()
-@_common
-def balance(config_path, out):
+@command
+def balance(cfg, outdir):
     """Moment balancing plus the balanced-map energy bound.
 
     Config: mesh (icosphere), p, factor (defines the unit-volume metric and
     the balancing density), tol, solver, seed. Writes pole, t, final moment
     norm, evaluations, the energy bound, the solved eigenvalue and the
-    slack; exit 2 when balancing does not reach tol.
+    slack; exit 2 when balancing does not reach tol or the eigenvalue
+    exceeds the bound.
     """
-    try:
-        cfg = _load_config(config_path)
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        mesh = build_mesh(_require(cfg, "mesh"))
-        if mesh.kind != "sphere":
-            raise ConfigError("balancing needs an icosphere mesh")
-        opts = solve_options(cfg)
-        f = build_factor(mesh, _require(cfg, "factor"), p=opts.p)
-        f = conformal.normalize_unit_volume(mesh, f)
-        tol = float(cfg.get("tol", 1e-6))
-        density = conformal.measure_density(mesh, f)
-        result = mobius.balance(mesh, mesh.vertices, density, opts.p, tol=tol)
-        psi = result.map.apply(mesh.vertices)
-        bound = mobius.balanced_energy_bound(mesh, f, psi, opts.p, tol=tol)
-        rho = density * mesh.vertex_measure
-        starts = []
-        for i in range(psi.shape[1]):
-            shift = psolve.p_shift(psi[:, i], rho, opts.p)
-            starts.append(psi[:, i] - shift)
-        solved = psolve.solve_closed(mesh, f, opts, extra_starts=starts)
-    except (ValueError, OSError) as exc:
-        _fail(exc)
-    payload = result.to_json()
-    payload.update({
+    mesh = build_mesh(_get(cfg, "mesh", dict))
+    if mesh.kind != "sphere":
+        raise ConfigError("balancing needs an icosphere mesh")
+    opts = solve_options(cfg)
+    f = build_factor(mesh, _get(cfg, "factor", dict), p=opts.p)
+    f = conformal.normalize_unit_volume(mesh, f)
+    tol = _get(cfg, "tol", float, 1e-6)
+    density = conformal.measure_density(mesh, f)
+    result = mobius.balance(mesh, mesh.vertices, density, opts.p, tol=tol)
+    psi = result.map.apply(mesh.vertices)
+    bound = mobius.balanced_energy_bound(mesh, f, psi, opts.p, tol=tol)
+    rho = density * mesh.vertex_measure
+    starts = []
+    for i in range(psi.shape[1]):
+        shift = psolve.p_shift(psi[:, i], rho, opts.p)
+        starts.append(psi[:, i] - shift)
+    solved = psolve.solve_closed(mesh, f, opts, extra_starts=starts)
+    payload = {
+        **result.to_json(),
         "p": opts.p,
         "energy_bound": bound,
         "lambda": solved.lam,
         "slack": bound - solved.lam,
         "bound_holds": solved.lam <= bound * (1.0 + 1e-9),
-    })
-    write_json(outdir / "results.json", payload)
-    if not result.converged:
-        click.echo("flagged: balancing did not reach tolerance", err=True)
-        sys.exit(2)
-    click.echo(f"moment norm {result.moment_norm:.3g}, "
-               f"lambda {solved.lam:.6g} <= bound {bound:.6g}")
+    }
+    flag = ("balancing did not reach tolerance" if not result.converged
+            else None if payload["bound_holds"]
+            else "eigenvalue exceeds the balanced energy bound")
+    return (payload, flag, f"moment norm {result.moment_norm:.3g}, "
+                           f"lambda {solved.lam:.6g} <= bound {bound:.6g}")
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .conformal import (check_conformal_factor, energy_density_weight,
-                        measure_density)
-from .mesh import build_icosphere, check_field, integrate, pl_gradient_sq
+from .conformal import measure_density
+from .mesh import build_icosphere, check_field, integrate
+from .psolve import weighted_problem
 
 __all__ = [
     "MobiusMap",
@@ -262,7 +262,7 @@ def balanced_energy_bound(mesh, f, psi, p, tol=1e-6):
     uses the Hilbert-Schmidt gradient norm across the n+1 coordinates).
     Inputs with moment norm above 10 * tol are rejected.
     """
-    f = check_conformal_factor(mesh, f)
+    prob = weighted_problem(mesh, f, p)
     psi = np.asarray(psi, dtype=float)
     n1 = psi.shape[1]
     density = measure_density(mesh, f)
@@ -272,9 +272,8 @@ def balanced_energy_bound(mesh, f, psi, p, tol=1e-6):
         raise ValueError(f"map is not balanced (moment norm {defect:g})")
     hs = np.zeros(mesh.n_elements)
     for i in range(n1):
-        hs += pl_gradient_sq(mesh, psi[:, i])
-    ew = energy_density_weight(mesh, f, p)[mesh.elements].mean(axis=1)
-    energy = float(np.sum(mesh.element_measure * ew * hs ** (p / 2.0)))
+        hs += prob.gradsq(psi[:, i])
+    energy = float(np.sum(prob.nw * hs ** (p / 2.0)))
     return (n1) ** abs(p / 2.0 - 1.0) * energy
 
 

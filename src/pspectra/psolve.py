@@ -28,10 +28,11 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.spatial import cKDTree
 
 from .conformal import (check_conformal_factor, energy_density_weight,
                         measure_density)
-from .mesh import MeshError, check_field, pl_gradient_sq
+from .mesh import MeshError, check_field
 
 __all__ = [
     "DegenerateFieldError",
@@ -39,6 +40,7 @@ __all__ = [
     "SolveOptions",
     "SpectralResult",
     "rayleigh_quotient",
+    "weighted_problem",
     "p_shift",
     "sign_split_shift",
     "solve_closed",
@@ -147,15 +149,11 @@ def rayleigh_quotient(mesh, f, p, u):
     u = check_field(mesh, u)
     if np.max(u) - np.min(u) <= 1e-300:
         raise DegenerateFieldError("constant field has no Rayleigh quotient")
-    ew = _element_mean(mesh, energy_density_weight(mesh, f, p))
-    num = float(np.sum(mesh.element_measure * ew *
-                       pl_gradient_sq(mesh, u) ** (p / 2.0)))
-    dens = measure_density(mesh, f)
-    den = float(np.sum(mesh.element_measure *
-                       _element_mean(mesh, np.abs(u) ** p * dens)))
+    prob = weighted_problem(mesh, f, p)
+    den = prob.denominator(u)
     if den <= _TINY:
         raise DegenerateFieldError("vanishing denominator")
-    return num / den
+    return prob.numerator(u, 0.0) / den
 
 
 def quotient_gradient(mesh, f, p, u, reg=0.0):
@@ -165,7 +163,7 @@ def quotient_gradient(mesh, f, p, u, reg=0.0):
     solver's regularization; reg = 0 gives the plain quotient's gradient.
     """
     u = check_field(mesh, u)
-    prob = _weighted_problem(mesh, f, p)
+    prob = weighted_problem(mesh, f, p)
     num, grad_n = prob.num_and_grad(u, reg)
     den = prob.denominator(u)
     if den <= _TINY:
@@ -331,11 +329,15 @@ class _Problem:
         d2 = None if self.asm.E2 is None else self.asm.E2 @ u
         return d1, d2
 
-    def gradsq(self, d1, d2):
+    def _gradsq(self, d1, d2):
         if d2 is None:
             return d1 * d1
         return (self.asm.ga * d1 * d1 + 2.0 * self.asm.gb * d1 * d2
                 + self.asm.gc * d2 * d2)
+
+    def gradsq(self, u):
+        """Squared gradient of the piecewise-linear field u, per element."""
+        return self._gradsq(*self._diffs(u))
 
     def stiffness(self):
         """Sparse K with numerator(u, 0) == u @ K @ u when p = 2."""
@@ -348,14 +350,13 @@ class _Problem:
         return K.tocsr(copy=True)
 
     def numerator(self, u, reg):
-        d1, d2 = self._diffs(u)
-        g = self.gradsq(d1, d2)
+        g = self.gradsq(u)
         return float(np.sum(self.nw * (g + reg) ** (self.p / 2.0)))
 
     def num_and_grad(self, u, reg, with_coef=False):
         p = self.p
         d1, d2 = self._diffs(u)
-        g = self.gradsq(d1, d2) + reg
+        g = self._gradsq(d1, d2) + reg
         gp1 = g ** (p / 2.0 - 1.0)
         num = float(np.sum(self.nw * gp1 * g))
         coef = self.nw * p * gp1
@@ -637,8 +638,7 @@ def _dirichlet_bump(mesh):
 
 def _run_one_start(prob, u0, opts, budget):
     u, _ = prob.project(np.asarray(u0, dtype=float))
-    d1, d2 = prob._diffs(u)
-    gscale = float(np.mean(prob.gradsq(d1, d2)))
+    gscale = float(np.mean(prob.gradsq(u)))
     s2 = gscale if gscale > 0 else 1.0
     history = []
     used = 0
@@ -658,13 +658,11 @@ def _run_one_start(prob, u0, opts, budget):
     return u, used, history, converged, reason
 
 
-def _finalize(mesh, f, p, prob, u, used, restarts, converged, history,
-              reason):
-    lam = rayleigh_quotient(mesh, f, p, u) if f is not None else \
-        prob.numerator(u, 0.0) / prob.denominator(u)
+def _finalize(prob, u, used, restarts, converged, history, reason):
     den = prob.denominator(u)
-    num, grad_n = prob.num_and_grad(u, (1e-8) ** 2 *
-                                    max(np.mean(prob.gradsq(*prob._diffs(u))), _TINY))
+    lam = prob.numerator(u, 0.0) / den
+    num, grad_n = prob.num_and_grad(
+        u, (1e-8) ** 2 * max(np.mean(prob.gradsq(u)), _TINY))
     g = (grad_n - (num / den) * prob.den_grad(u)) / den
     d = prob.tangent(u, g)
     residual = float(np.linalg.norm(d) * den /
@@ -683,8 +681,14 @@ def _finalize(mesh, f, p, prob, u, used, restarts, converged, history,
     )
 
 
-def _weighted_problem(mesh, f, p):
-    """Closed/Neumann problem of the conformal factor f at exponent p."""
+def weighted_problem(mesh, f, p):
+    """The weighted quotient of the conformal factor f at exponent p.
+
+    numerator(u, 0) integrates |du|^p f^((m-p)/2) (weight averaged per
+    element), denominator(u) integrates |u|^p f^(m/2) under the lumped vertex
+    measure, gradsq(u) is the per-element |du|^2 and constraint_defect(u) the
+    relative weighted p-mean of u.
+    """
     f = check_conformal_factor(mesh, f)
     ew = _element_mean(mesh, energy_density_weight(mesh, f, p))
     return _Problem(mesh, p, mesh.element_measure * ew,
@@ -703,10 +707,10 @@ def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None,
     if dirichlet:
         prob = _dirichlet_problem(mesh, p)
     else:
-        prob = _weighted_problem(mesh, f, p)
+        prob = weighted_problem(mesh, f, p)
     if p == 2.0:
         u, _ = prob.project(_p2_eigenvector(prob))
-        return _finalize(mesh, f, p, prob, u, 0, 0, True, [], "eigensolve")
+        return _finalize(prob, u, 0, 0, True, [], "eigensolve")
 
     starts = []
     if u0 is not None:
@@ -717,7 +721,7 @@ def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None,
         if dirichlet:
             starts.append(_dirichlet_bump(mesh))
         else:
-            starts.append(_p2_eigenvector(_weighted_problem(mesh, f, 2.0)))
+            starts.append(_p2_eigenvector(weighted_problem(mesh, f, 2.0)))
     rng = np.random.default_rng(opts.seed)
     for _ in range(opts.multistart - 1):
         starts.append(rng.standard_normal(mesh.n_vertices))
@@ -733,8 +737,8 @@ def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None,
             continue
         ran += 1
         total_used += used
-        candidates.append(_finalize(mesh, f, p, prob, u, total_used, ran - 1,
-                                    converged, history, reason))
+        candidates.append(_finalize(prob, u, total_used, ran - 1, converged,
+                                    history, reason))
     if not candidates:
         raise DegenerateFieldError("no admissible start field")
     # among candidates within 0.01% of the minimum, prefer a converged one
@@ -795,22 +799,18 @@ def solve_dirichlet(mesh, opts, u0=None, extra_starts=None,
 def mirror_index(mesh, pole=None):
     """Index of each vertex's mirror across the pole's equator plane.
 
-    Requires the mesh to be exactly mirror-symmetric (the icosphere builder
+    Requires the mesh to be mirror-symmetric: every mirrored vertex must land
+    within 1e-6 shortest edges of a distinct vertex (the icosphere builder
     guarantees this for its own pole axis).
     """
     if pole is None:
         pole = mesh.pole
     n = mesh.vertices[pole]
     mirrored = mesh.vertices - 2.0 * (mesh.vertices @ n)[:, None] * n
-    lookup = {}
-    for i, v in enumerate(np.round(mesh.vertices * 1e9).astype(np.int64)):
-        lookup[tuple(v)] = i
-    out = np.empty(mesh.n_vertices, dtype=np.int64)
-    for i, v in enumerate(np.round(mirrored * 1e9).astype(np.int64)):
-        j = lookup.get(tuple(v))
-        if j is None:
-            raise MeshError("mesh is not mirror-symmetric about the equator")
-        out[i] = j
+    dist, out = cKDTree(mesh.vertices).query(mirrored)
+    if (np.max(dist) > 1e-6 * mesh.min_edge_length
+            or np.any(np.bincount(out, minlength=mesh.n_vertices) != 1)):
+        raise MeshError("mesh is not mirror-symmetric about the equator")
     return out
 
 
@@ -893,9 +893,7 @@ def radial_average(mesh, u, f, p, n_bins=None):
     pnorm_rhs = float(np.sum(up * dens * M))
     slopes = np.diff(ubar) / np.diff(centers)
     grad_lhs = float(np.sum(np.abs(slopes) ** p * 0.5 * (wband[:-1] + wband[1:])))
-    g = pl_gradient_sq(mesh, u)
-    grad_rhs = float(np.sum(mesh.element_measure * _element_mean(mesh, ew)
-                            * g ** (p / 2.0)))
+    grad_rhs = weighted_problem(mesh, f, p).numerator(u, 0.0)
     return RadialProfile(centers, ubar, base, dband, wband, p,
                          pnorm_lhs, pnorm_rhs, grad_lhs, grad_rhs)
 

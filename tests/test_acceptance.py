@@ -152,7 +152,8 @@ def test_criterion_07_blowup_trend():
     rows = []
     warm = None
     for eps in [0.4, 0.2, 0.1, 0.05]:
-        row = _sweep_case((circle_spec, 3.0, eps, solver, 0, warm))
+        row = _sweep_case((circle_spec, eps, SolveOptions(p=3.0, **solver),
+                           warm))
         warm = row["eigenfunction"]
         rows.append(row)
     lams1 = [r["lambda"] for r in rows]
@@ -167,7 +168,8 @@ def test_criterion_07_blowup_trend():
     rows2 = []
     warm = None
     for eps in [0.5, 0.35, 0.25]:
-        row = _sweep_case((sphere_spec, 3.0, eps, solver2, 0, warm))
+        row = _sweep_case((sphere_spec, eps, SolveOptions(p=3.0, **solver2),
+                           warm))
         warm = row["eigenfunction"]
         rows2.append(row)
     lams2 = [r["lambda"] for r in rows2]

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pspectra import psolve
 from pspectra.cli import main
 
 
@@ -153,6 +156,31 @@ class TestVerifyBound:
         assert result.exit_code == 2
 
 
+    def _level2_p15(self, tmp_path, outdir, solver=None):
+        payload = {"mesh": {"kind": "icosphere", "level": 2}, "p": 1.5,
+                   "n_factors": 1, "seed": 0}
+        if solver is not None:
+            payload["solver"] = solver
+        cfg = write_config(tmp_path / "vb.json", payload)
+        return run(["verify-bound", "--config", cfg, "--out", str(outdir)])
+
+    def test_invalid_solver_block_exits_one(self, tmp_path, outdir):
+        result = self._level2_p15(tmp_path, outdir, {"bogus_key": 3})
+        assert result.exit_code == 1
+        assert "error: invalid solver config" in result.output
+        assert "Traceback" not in result.output
+
+    def test_solver_block_is_used(self, tmp_path):
+        lams = []
+        for solver in (None, {"max_iterations": 1}):
+            out = tmp_path / f"out{len(lams)}"
+            result = self._level2_p15(tmp_path, out, solver)
+            assert result.exit_code == 0, result.output
+            reports = json.loads((out / "results.json").read_text())["reports"]
+            lams.append([r["computed_lambda"] for r in reports])
+        assert lams[0] != lams[1]
+
+
 class TestReflect:
     def test_round_factor_equality(self, tmp_path, outdir):
         cfg = write_config(tmp_path / "r.json", {
@@ -223,6 +251,27 @@ class TestBalanceCommand:
         assert payload["bound_holds"]
 
 
+    def test_bound_violation_exits_two(self, tmp_path, outdir, monkeypatch):
+        solve_closed = psolve.solve_closed
+
+        def above_bound(*args, **kwargs):
+            result = solve_closed(*args, **kwargs)
+            result.lam = 1e6
+            return result
+
+        monkeypatch.setattr(psolve, "solve_closed", above_bound)
+        cfg = write_config(tmp_path / "b.json", {
+            "mesh": {"kind": "icosphere", "level": 2}, "p": 2.0,
+            "factor": {"kind": "constant", "value": 1.0}, "seed": 0,
+        })
+        result = run(["balance", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 2
+        assert "flagged:" in result.output
+        payload = json.loads((outdir / "results.json").read_text())
+        assert payload["moment_norm"] <= 1e-6
+        assert not payload["bound_holds"]
+
+
 class TestNonConvergenceFlag:
     def test_tiny_budget_exits_two(self, tmp_path, outdir):
         cfg = write_config(tmp_path / "t.json", {
@@ -286,3 +335,56 @@ class TestDeterminism:
         rows1 = (out1 / "rows.csv").read_text().splitlines()[1:]
         rows2 = (out2 / "rows.csv").read_text().splitlines()[1:]
         assert rows1 == rows2
+
+
+EIGEN_CIRCLE = {"mesh": {"kind": "circle", "n": 40, "length": 2 * np.pi},
+                "p": 2.0, "factor": {"kind": "constant", "value": 1.0},
+                "problem": "closed", "seed": 0, "solver": {"multistart": 1}}
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.text(max_size=4))
+# JSON values by type; a key's value is replaced by one of another type
+JSON_VALUES = {
+    "null": st.none(), "boolean": st.booleans(),
+    "number": st.one_of(st.integers(-3, 3),
+                        st.floats(allow_nan=False, allow_infinity=False)),
+    "string": st.text(max_size=4),
+    "array": st.lists(JSON_SCALARS, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3),
+}
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+@st.composite
+def mistyped_eigen_configs(draw):
+    key = draw(st.sampled_from(sorted(EIGEN_CIRCLE)))
+    kind = _json_type(EIGEN_CIRCLE[key])
+    value = draw(st.one_of([s for k, s in JSON_VALUES.items() if k != kind]))
+    return {**EIGEN_CIRCLE, key: value}
+
+
+class TestMalformedConfig:
+    @settings(max_examples=40, deadline=None)
+    @example(command="eigen", config=5)
+    @example(command="eigen", config={**EIGEN_CIRCLE, "p": None})
+    @example(command="eigen", config={
+        **EIGEN_CIRCLE, "mesh": {**EIGEN_CIRCLE["mesh"], "n": "a"}})
+    @example(command="eigen", config={**EIGEN_CIRCLE, "solver": [1]})
+    @example(command="dirichlet-scaling",
+             config={"p": 2.0, "eps": 0.5, "n": 40})
+    @given(command=st.just("eigen"), config=mistyped_eigen_configs())
+    def test_wrong_json_type_exits_one(self, tmp_path_factory, command,
+                                       config):
+        tmp = tmp_path_factory.mktemp("cfg")
+        cfg = write_config(tmp / "c.json", config)
+        result = run([command, "--config", cfg, "--out", str(tmp / "out")])
+        assert result.exit_code == 1
+        assert "error: " in result.output
+        assert "Traceback" not in result.output

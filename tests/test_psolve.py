@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pspectra import (DegenerateFieldError, SolveOptions, build_circle,
-                      build_icosphere, build_interval, extract_hemisphere,
-                      integrate, measure_density, mirror_index, p_shift,
+from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
+                      SolveOptions, build_circle, build_icosphere,
+                      build_interval, extract_hemisphere, integrate, measure_density, mirror_index, p_shift,
                       positive_negative_quotients, radial_average,
                       random_smooth_factor, rayleigh_quotient, reflect_even,
                       shooting_eigenvalue_1d, sign_split_shift,
@@ -13,8 +13,8 @@ from pspectra import (DegenerateFieldError, SolveOptions, build_circle,
                       solve_closed, solve_dirichlet, solve_neumann,
                       split_band_plateau)
 from pspectra.psolve import (_dirichlet_bump, _dirichlet_problem,
-                             _run_one_start, _weighted_problem,
-                             quotient_gradient)
+                             _run_one_start, quotient_gradient,
+                             weighted_problem)
 
 
 def ones(mesh):
@@ -286,6 +286,68 @@ class TestReflection:
         assert closed.lam <= q * (1.0 + 1e-9)
 
 
+def _rounding_boundary_sphere():
+    """Level-1 icosphere turned so its pole is off the coordinate axes, with
+    one mirror pair (i, j) moved so that j's x coordinate and the computed
+    mirror image of i lie on either side of a half-integer multiple of 1e-9
+    (within an ulp of it)."""
+    base = build_icosphere(1)
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    cross = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+    rot = np.eye(3) + np.sin(0.7) * cross + (1.0 - np.cos(0.7)) * cross @ cross
+    v = base.vertices @ rot.T
+    n = v[base.pole]
+
+    def mirror(x):
+        return x - 2.0 * (x @ n) * n
+
+    i = 5
+    j = int(np.argmin(np.linalg.norm(v - mirror(v[i]), axis=1)))
+    v[j, 0] = (np.floor(v[j, 0] * 1e9) + 0.5) * 1e-9
+    v[j, 1:] *= np.sqrt(1.0 - v[j, 0] ** 2) / np.linalg.norm(v[j, 1:])
+    v[i] = mirror(v[j])
+    image = mirror(v[i])[0]
+    step = np.inf if np.round(image * 1e9) < image * 1e9 else -np.inf
+    x = image
+    while np.round(x * 1e9) == np.round(image * 1e9):
+        x = np.nextafter(x, step)
+    v[j, 0] = x
+    mesh = DiscreteManifold("sphere", v, base.elements, base.element_measure,
+                            base.boundary, pole=base.pole)
+    return mesh, i, j
+
+
+class TestMirrorIndex:
+    def test_matches_rounded_coordinate_lookup(self, sphere4):
+        # reference: match coordinates rounded at 1e-9 through a dict
+        n = sphere4.vertices[sphere4.pole]
+        images = sphere4.vertices - 2.0 * (sphere4.vertices @ n)[:, None] * n
+        lookup = {tuple(v): i for i, v in enumerate(
+            np.round(sphere4.vertices * 1e9).astype(np.int64))}
+        ref = [lookup[tuple(v)]
+               for v in np.round(images * 1e9).astype(np.int64)]
+        assert np.array_equal(mirror_index(sphere4), ref)
+
+    def test_coordinate_at_rounding_boundary(self):
+        mesh, i, j = _rounding_boundary_sphere()
+        assert i != j and mesh.pole not in (i, j)
+        out = mirror_index(mesh)
+        assert out[i] == j and out[j] == i
+        assert np.array_equal(out[out], np.arange(mesh.n_vertices))
+
+    def test_asymmetric_mesh_rejected(self):
+        mesh, i, _ = _rounding_boundary_sphere()
+        v = mesh.vertices.copy()
+        v[i] += 1e-4 * np.cross(v[i], v[mesh.pole])
+        v[i] /= np.linalg.norm(v[i])
+        moved = DiscreteManifold("sphere", v, mesh.elements,
+                                 mesh.element_measure, mesh.boundary,
+                                 pole=mesh.pole)
+        with pytest.raises(MeshError, match="mirror-symmetric"):
+            mirror_index(moved)
+
+
 class TestRadialAverage:
     def test_radial_field_reproduced(self, sphere4):
         r = sphere4.colatitudes
@@ -459,12 +521,12 @@ def _p2_case(kind, sphere3):
     f = random_smooth_factor(sphere3, seed=2)
     if kind == "closed":
         return (lambda: solve_closed(sphere3, f, opts),
-                _weighted_problem(sphere3, f, 2.0), sphere3.vertices[:, 2])
+                weighted_problem(sphere3, f, 2.0), sphere3.vertices[:, 2])
     if kind == "neumann":
         hemi = extract_hemisphere(sphere3)
         f_h = f[hemi.parent_index]
         return (lambda: solve_neumann(hemi, f_h, opts),
-                _weighted_problem(hemi, f_h, 2.0), hemi.vertices[:, 0])
+                weighted_problem(hemi, f_h, 2.0), hemi.vertices[:, 0])
     iv = build_interval(200, -1.0, 1.0)
     return (lambda: solve_dirichlet(iv, opts), _dirichlet_problem(iv, 2.0),
             _dirichlet_bump(iv))
