@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .conformal import measure_density
-from .mesh import build_icosphere, check_field, integrate
+from .mesh import build_icosphere, check_field
 from .psolve import weighted_problem
 
 __all__ = [
@@ -131,29 +131,36 @@ class MobiusMap:
         if self.t == 1.0:
             out = x.copy()
             return out[0] if single else out
-        frame = _chart_frame(a)
-        denom = 1.0 - x @ a
+        # Points are columns here, so every elementwise pass runs along one
+        # long axis. With s = x.a, the tangential part x - s a has the
+        # direction of the chart vector (carried back by the chart frame)
+        # and, over 1 - s, its norm u.
+        xt = x.T
+        s = a @ xt
+        denom = 1.0 - s
         at_pole = denom <= 1e-15
-        denom = np.where(at_pole, 1.0, denom)
-        y = (x @ frame.T) / denom[:, None]
-        u = np.linalg.norm(y, axis=1)
+        tang = xt - a[:, None] * s
+        norm_t = np.sqrt(np.einsum("ij,ij->j", tang, tang))
+        u = norm_t / np.where(at_pole, 1.0, denom)
         at_antipode = u <= 1e-300
-        unit = y / np.maximum(u, 1e-300)[:, None]
         kappa = self.log_dilation
-        # rho = e^kappa * u, handled through 1/rho when it would overflow
+        # rho = e^kappa * u, handled through r = min(rho, 1/rho) so that it
+        # never overflows
         log_rho = kappa + np.log(np.maximum(u, 1e-300))
-        big = log_rho > 0.0
-        r = np.where(big, np.exp(-np.abs(log_rho)), np.exp(np.minimum(log_rho, 0.0)))
-        # big: r = 1/rho -> coef_w = 2r/(1+r^2), coef_a = (1-r^2)/(1+r^2)
-        # small: r = rho -> coef_w = 2r/(1+r^2), coef_a = -(1-r^2)/(1+r^2)
-        coef_w = 2.0 * r / (1.0 + r * r)
-        coef_a = (1.0 - r * r) / (1.0 + r * r) * np.where(big, 1.0, -1.0)
-        out = coef_w[:, None] * (unit @ frame) + coef_a[:, None] * a
-        out[at_pole] = a
-        out[at_antipode] = -a
-        norm = np.linalg.norm(out, axis=1)
-        out /= norm[:, None]
-        return out[0] if single else out
+        r = np.exp(-np.abs(log_rho))
+        rr = r * r
+        # rho > 1: r = 1/rho -> coef_w = 2r/(1+r^2), coef_a = (1-r^2)/(1+r^2)
+        # rho <= 1: r = rho -> coef_w = 2r/(1+r^2), coef_a = -(1-r^2)/(1+r^2)
+        # coef_w also divides the tangential part by its norm
+        coef_w = 2.0 * r / (1.0 + rr) / np.maximum(norm_t, 1e-300)
+        coef_a = (1.0 - rr) / (1.0 + rr) * np.where(log_rho > 0.0, 1.0, -1.0)
+        out = coef_w * tang + a[:, None] * coef_a
+        # the fixed points exactly; x = a can leave a zero tangential part,
+        # so the pole is assigned last
+        out[:, at_antipode] = -a[:, None]
+        out[:, at_pole] = a[:, None]
+        out /= np.sqrt(np.einsum("ij,ij->j", out, out))
+        return out.T[0] if single else out.T
 
     def to_json(self):
         return {"pole": list(map(float, self.pole)), "t": float(self.t)}
@@ -163,7 +170,9 @@ def moment_vector(mesh, phi, density, p, mobius_map):
     """Normalized coordinate p-moments of the mapped mesh.
 
     Component i is the integral of |psi_i|^(p-2) psi_i against the density,
-    divided by the total density mass, where psi = gamma o phi.
+    divided by the total density mass, where psi = gamma o phi. Both
+    integrals use the lumped vertex measure (equal in exact arithmetic to
+    the element-mean quadrature of :func:`~pspectra.mesh.integrate`).
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape[0] != mesh.n_vertices:
@@ -171,14 +180,12 @@ def moment_vector(mesh, phi, density, p, mobius_map):
     density = check_field(mesh, density, "density")
     if np.any(density < 0.0):
         raise ValueError("density must be nonnegative")
-    total = integrate(mesh, density)
+    w = mesh.vertex_measure * density
+    total = float(w.sum())
     if total <= 0.0:
         raise ValueError("density has zero total mass")
     psi = mobius_map.apply(phi)
-    comps = [integrate(mesh, np.sign(psi[:, i]) * np.abs(psi[:, i]) ** (p - 1.0)
-                       * density)
-             for i in range(psi.shape[1])]
-    return np.array(comps) / total
+    return (np.sign(psi) * np.abs(psi) ** (p - 1.0)).T @ w / total
 
 
 @dataclass
@@ -203,6 +210,11 @@ class BalanceResult:
 _MIN_T = 1e-6
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive")
+
+
 def _params_to_map(v):
     kappa = float(np.linalg.norm(v))
     if kappa == 0.0:
@@ -221,6 +233,7 @@ def balance(mesh, phi, density, p, tol=1e-6, budget=400):
     pole). Returns the best map found, flagged if the tolerance was not
     reached within the budget.
     """
+    _check_tol(tol)
     phi = np.asarray(phi, dtype=float)
     if phi.shape[1] != 3:
         raise ValueError("balancing search is implemented for maps into S^2")
@@ -262,6 +275,7 @@ def balanced_energy_bound(mesh, f, psi, p, tol=1e-6):
     uses the Hilbert-Schmidt gradient norm across the n+1 coordinates).
     Inputs with moment norm above 10 * tol are rejected.
     """
+    _check_tol(tol)
     prob = weighted_problem(mesh, f, p)
     psi = np.asarray(psi, dtype=float)
     n1 = psi.shape[1]

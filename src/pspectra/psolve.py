@@ -95,6 +95,8 @@ class SolveOptions:
             raise ValueError("p must exceed 1")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
         if self.multistart < 1:

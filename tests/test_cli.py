@@ -271,6 +271,17 @@ class TestBalanceCommand:
         assert payload["moment_norm"] <= 1e-6
         assert not payload["bound_holds"]
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0])
+    def test_nonpositive_tol_exits_one(self, tmp_path, outdir, tol):
+        cfg = write_config(tmp_path / "b.json", {
+            "mesh": {"kind": "icosphere", "level": 1}, "p": 2.0,
+            "factor": {"kind": "constant", "value": 1.0}, "tol": tol,
+        })
+        result = run(["balance", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert "error: tol" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestNonConvergenceFlag:
     def test_tiny_budget_exits_two(self, tmp_path, outdir):
@@ -377,6 +388,8 @@ class TestMalformedConfig:
     @example(command="eigen", config={
         **EIGEN_CIRCLE, "mesh": {**EIGEN_CIRCLE["mesh"], "n": "a"}})
     @example(command="eigen", config={**EIGEN_CIRCLE, "solver": [1]})
+    @example(command="eigen", config={
+        **EIGEN_CIRCLE, "p": 3.0, "solver": {"max_iterations": -5}})
     @example(command="dirichlet-scaling",
              config={"p": 2.0, "eps": 0.5, "n": 40})
     @given(command=st.just("eigen"), config=mistyped_eigen_configs())

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pspectra import (MobiusMap, balance, balanced_energy_bound,
-                      cap_density, integrate, measure_density, moment_vector,
-                      normalize_unit_volume, p_shift, solve_closed,
-                      stereographic, stereographic_inverse, sup_image_volume,
-                      SolveOptions)
+                      cap_density, integrate, measure_density, mobius,
+                      moment_vector, normalize_unit_volume, p_shift,
+                      solve_closed, stereographic, stereographic_inverse,
+                      sup_image_volume, SolveOptions)
+from pspectra.mobius import _chart_frame
 
 
 def unit(v):
@@ -16,6 +17,41 @@ def unit(v):
 
 
 IDENTITY = MobiusMap(np.array([0.0, 0.0, 1.0]), 1.0)
+
+
+def chart_apply(g, x):
+    """Reference dilation through the stereographic chart frame."""
+    a = np.asarray(g.pole)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if g.t == 1.0:
+        return x.copy()
+    frame = _chart_frame(a)
+    denom = 1.0 - x @ a
+    at_pole = denom <= 1e-15
+    denom = np.where(at_pole, 1.0, denom)
+    y = (x @ frame.T) / denom[:, None]
+    u = np.linalg.norm(y, axis=1)
+    at_antipode = u <= 1e-300
+    unit = y / np.maximum(u, 1e-300)[:, None]
+    log_rho = g.log_dilation + np.log(np.maximum(u, 1e-300))
+    big = log_rho > 0.0
+    r = np.where(big, np.exp(-np.abs(log_rho)),
+                 np.exp(np.minimum(log_rho, 0.0)))
+    coef_w = 2.0 * r / (1.0 + r * r)
+    coef_a = (1.0 - r * r) / (1.0 + r * r) * np.where(big, 1.0, -1.0)
+    out = coef_w[:, None] * (unit @ frame) + coef_a[:, None] * a
+    out[at_pole] = a
+    out[at_antipode] = -a
+    return out / np.linalg.norm(out, axis=1)[:, None]
+
+
+def quadrature_moments(mesh, phi, density, p, g):
+    """Reference moments: one element-mean quadrature per coordinate."""
+    psi = chart_apply(g, phi)
+    comps = [integrate(mesh, np.sign(psi[:, i]) * np.abs(psi[:, i]) ** (p - 1.0)
+                       * density)
+             for i in range(psi.shape[1])]
+    return np.array(comps) / integrate(mesh, density)
 
 
 class TestStereographic:
@@ -53,10 +89,30 @@ class TestMobiusMap:
         assert np.array_equal(g.apply(x), x)
 
     def test_fixed_points(self):
-        a = unit([0.4, 0.1, 0.9])
-        g = MobiusMap(a, 0.35)
-        assert np.linalg.norm(g.apply(a) - a) < 1e-12
-        assert np.linalg.norm(g.apply(-a) + a) < 1e-12
+        # for the last two poles a.a == 1 exactly: x = a has a zero
+        # tangential part
+        for pole in [[0.4, 0.1, 0.9], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]:
+            a = unit(pole)
+            g = MobiusMap(a, 0.35)
+            assert np.linalg.norm(g.apply(a) - a) < 1e-12
+            assert np.linalg.norm(g.apply(-a) + a) < 1e-12
+
+    def test_matches_chart_reference(self, sphere4):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((1000, 3))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        x = np.vstack([x, sphere4.vertices])
+        worst = 0.0
+        for _ in range(20):
+            a = unit(rng.standard_normal(3))
+            # at +-a itself the image is rounding-driven for large dilations
+            pts = x[np.minimum(np.linalg.norm(x - a, axis=1),
+                               np.linalg.norm(x + a, axis=1)) > 1e-12]
+            for t in [0.9, 0.5, 0.35, 0.05, 1e-3, 1e-4, 1e-6]:
+                g = MobiusMap(a, t)
+                worst = max(worst, np.abs(g.apply(pts)
+                                          - chart_apply(g, pts)).max())
+        assert worst <= 1e-12
 
     def test_image_on_sphere(self):
         rng = np.random.default_rng(2)
@@ -107,6 +163,16 @@ class TestMomentVector:
                  for i in range(3)]
         assert np.allclose(F, means, rtol=1e-12)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+    def test_matches_quadrature_reference(self, sphere4, p):
+        rng = np.random.default_rng(6)
+        dens = cap_density(sphere4, [0.3, -0.5, 0.8], 6.0)
+        for t in [1.0, 0.5, 0.05, 1e-3]:
+            g = MobiusMap(unit(rng.standard_normal(3)), t)
+            F = moment_vector(sphere4, sphere4.vertices, dens, p, g)
+            ref = quadrature_moments(sphere4, sphere4.vertices, dens, p, g)
+            assert np.max(np.abs(F - ref)) <= 1e-13
+
 
 class TestBalance:
     def test_uniform_already_balanced(self, sphere3):
@@ -123,6 +189,32 @@ class TestBalance:
         assert res.converged
         assert res.moment_norm <= 1e-6
         assert res.map.t < 1.0
+
+    def test_one_moment_vector_call_per_evaluation(self, sphere3,
+                                                   monkeypatch):
+        # the evaluation count that balance reports is the number of
+        # moment_vector calls it made
+        calls = []
+        inner = mobius.moment_vector
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(mobius, "moment_vector", counted)
+        dens = cap_density(sphere3, [0.3, -0.5, 0.8], 8.0)
+        res = balance(sphere3, sphere3.vertices, dens, 1.7)
+        assert res.evaluations > 0
+        assert len(calls) == res.evaluations
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, sphere2, tol):
+        dens = np.ones(sphere2.n_vertices)
+        with pytest.raises(ValueError, match="tol"):
+            balance(sphere2, sphere2.vertices, dens, 2.0, tol=tol)
+        f = normalize_unit_volume(sphere2, dens)
+        with pytest.raises(ValueError, match="tol"):
+            balanced_energy_bound(sphere2, f, sphere2.vertices, 2.0, tol=tol)
 
     def test_p2_matches_center_of_mass_oracle(self, sphere3):
         # independent p = 2 solver: root-find the mapped coordinate means
