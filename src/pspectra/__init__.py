@@ -13,13 +13,11 @@ from .conformal import (band_plateau_factor, cap_density,
                         smooth_band_plateau_factor, volume)
 from .psolve import (ConvergenceError, DegenerateFieldError, RadialProfile,
                      SolveOptions, SpectralResult, mirror_index, p_shift,
-                     positive_negative_quotients, radial_average,
-                     rayleigh_quotient, reflect_even, shooting_eigenvalue_1d,
-                     sign_split_shift, solve_closed, solve_dirichlet,
+                     radial_average, rayleigh_quotient, reflect_even,
+                     shooting_eigenvalue_1d, solve_closed, solve_dirichlet,
                      solve_neumann, split_band_plateau, weighted_problem)
 from .mobius import (BalanceResult, MobiusMap, balance, balanced_energy_bound,
-                     moment_vector, stereographic, stereographic_inverse,
-                     sup_image_volume)
+                     moment_vector)
 from .bounds import (BoundReport, canonical_conformal_volume,
                      conformal_volume_bound, genus_surface_bound,
                      verify_bound)

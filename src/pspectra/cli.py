@@ -111,7 +111,14 @@ def build_factor(mesh, spec, p=None):
                    else conformal.band_plateau_factor)
         f = builder(mesh, _get(spec, "eps", float), p)
     elif kind == "cap":
-        f = conformal.cap_density(mesh, _get(spec, "direction", list),
+        direction = _get(spec, "direction", list)
+        if mesh.dim != 2:
+            raise ConfigError("a cap factor needs an icosphere or hemisphere "
+                              "mesh")
+        if len(direction) != 3 or not 0.0 < np.linalg.norm(direction) < np.inf:
+            raise ConfigError("cap direction must be a nonzero vector of 3 "
+                              "numbers")
+        f = conformal.cap_density(mesh, direction,
                                   _get(spec, "concentration", float, 8.0))
     elif kind == "csv":
         f = conformal.load_factor_csv(_get(spec, "path", str))
@@ -527,7 +534,9 @@ def balance(cfg, outdir):
     density = conformal.measure_density(mesh, f)
     result = mobius.balance(mesh, mesh.vertices, density, opts.p, tol=tol)
     psi = result.map.apply(mesh.vertices)
-    bound = mobius.balanced_energy_bound(mesh, f, psi, opts.p, tol=tol)
+    # a missed balance is flagged below, with the energy of the map it found
+    bound = mobius.balanced_energy_bound(
+        mesh, f, psi, opts.p, tol=max(tol, result.moment_norm))
     rho = density * mesh.vertex_measure
     starts = []
     for i in range(psi.shape[1]):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import check_field, integrate
+from .mesh import _read_numeric_csv, check_field, integrate
 
 __all__ = [
     "check_conformal_factor",
@@ -165,6 +165,5 @@ def save_factor_csv(values, path):
 
 def load_factor_csv(path):
     """Read a vertex field written by :func:`save_factor_csv`."""
-    with open(path) as fh:
-        fh.readline()
-        return np.array([float(line.split(",")[1]) for line in fh if line.strip()])
+    _, rows = _read_numeric_csv(path, 2, n_header=1)
+    return rows[:, 1]

@@ -487,7 +487,7 @@ def load_off(path):
         verts = np.array(body[:3 * nv], dtype=float).reshape(nv, 3)
         rows = np.array(body[3 * nv:3 * nv + 4 * nf],
                         dtype=np.int64).reshape(nf, 4)
-    except (IndexError, ValueError):
+    except (IndexError, ValueError, OverflowError):
         raise MeshError("truncated or malformed OFF file") from None
     if nv <= 0 or nf <= 0:
         raise MeshError("OFF file has no vertices or faces")
@@ -520,21 +520,47 @@ def save_mesh_csv(mesh, path):
             fh.write("%d,%.17g,%d\n" % (i, x, int(b)))
 
 
+def _read_numeric_csv(path, n_fields, n_header):
+    """Header lines and the rows of numbers of a CSV file.
+
+    Blank lines are skipped; a row that is not n_fields comma-separated
+    numbers is a ValueError naming its line.
+    """
+    with open(path) as fh:
+        header = [fh.readline() for _ in range(n_header)]
+        rows = []
+        for lineno, line in enumerate(fh, start=n_header + 1):
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            try:
+                if len(fields) != n_fields:
+                    raise ValueError
+                rows.append([float(x) for x in fields])
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: expected {n_fields} "
+                                 f"comma-separated numbers") from None
+    return header, np.array(rows, dtype=float).reshape(-1, n_fields)
+
+
 def load_mesh_csv(path):
     """Read a 1-D mesh written by :func:`save_mesh_csv`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        fh.readline()  # column names
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    coords = np.array([float(r[1]) for r in rows])
+    (header, _), rows = _read_numeric_csv(path, 3, n_header=2)
+    coords = rows[:, 1]
+    if len(coords) < 2:
+        raise MeshError(f"{path}: a 1-D mesh needs at least two vertices")
     if "kind=circle" in header:
-        length = float(header.split("length=")[1])
+        try:
+            length = float(header.split("length=")[1].split()[0])
+        except (IndexError, ValueError):
+            raise MeshError(f"{path}, line 1: circle header needs "
+                            f"length=<number>") from None
         n = len(coords)
         elements = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
         gaps = np.diff(np.append(coords, coords[0] + length))
         return DiscreteManifold("circle", coords, elements, gaps,
                                 np.zeros(n, dtype=bool), pole=0, length=length)
-    boundary = np.array([r[2] == "1" for r in rows])
+    boundary = rows[:, 2] == 1.0
     n = len(coords) - 1
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     return DiscreteManifold("interval", coords, elements, np.diff(coords),

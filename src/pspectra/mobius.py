@@ -14,71 +14,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import root
 
 from .conformal import measure_density
-from .mesh import build_icosphere, check_field
+from .mesh import check_field
 from .psolve import weighted_problem
 
 __all__ = [
     "MobiusMap",
     "BalanceResult",
-    "stereographic",
-    "stereographic_inverse",
     "moment_vector",
     "balance",
     "balanced_energy_bound",
-    "sup_image_volume",
 ]
-
-
-def _chart_frame(a):
-    """Deterministic orthonormal completion of the pole to a frame.
-
-    Gram-Schmidt of the standard basis against a, in lexicographic order;
-    any other frame differs by a rotation, which cancels in every use.
-    """
-    a = np.asarray(a, dtype=float)
-    n1 = a.shape[0]
-    frame = []
-    for k in range(n1):
-        e = np.zeros(n1)
-        e[k] = 1.0
-        e = e - (e @ a) * a
-        for b in frame:
-            e = e - (e @ b) * b
-        norm = np.linalg.norm(e)
-        if norm > 1e-8:
-            frame.append(e / norm)
-        if len(frame) == n1 - 1:
-            break
-    return np.array(frame)
-
-
-def stereographic(a, x):
-    """Chart coordinates of sphere points under projection from pole a.
-
-    The antipode of a maps to the origin and the equator orthogonal to a
-    maps onto the unit sphere of the chart.
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    frame = _chart_frame(a)
-    denom = 1.0 - x @ a
-    if np.any(denom < 1e-9):
-        raise ValueError("cannot project a point at (or too close to) the pole")
-    y = (x @ frame.T) / denom[:, None]
-    return y[0] if y.shape[0] == 1 and np.asarray(x).ndim == 1 else y
-
-
-def stereographic_inverse(a, y):
-    """Inverse of :func:`stereographic` for the same pole."""
-    a = np.asarray(a, dtype=float)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    frame = _chart_frame(a)
-    s = np.sum(y * y, axis=1)
-    x = (2.0 * y @ frame + (s - 1.0)[:, None] * a) / (s + 1.0)[:, None]
-    return x[0] if x.shape[0] == 1 and np.asarray(y).ndim == 1 else x
 
 
 @dataclass(frozen=True)
@@ -208,6 +156,9 @@ class BalanceResult:
 
 
 _MIN_T = 1e-6
+# continuation in p: equal steps from 2, halved on a miss down to the floor
+_STAGES = 4
+_MIN_STEP = 1e-3
 
 
 def _check_tol(tol):
@@ -223,47 +174,57 @@ def _params_to_map(v):
     return MobiusMap(np.asarray(v) / kappa, t)
 
 
-def balance(mesh, phi, density, p, tol=1e-6, budget=400):
+def _moments(v, mesh, phi, density, q):
+    return moment_vector(mesh, phi, density, q, _params_to_map(v))
+
+
+def balance(mesh, phi, density, p, tol=1e-6):
     """Find a dilation whose coordinate p-moments all vanish.
 
-    Coarse grid over poles (level-2 icosphere directions) and log-spaced
-    dilation strengths, then derivative-free simplex refinement on the
-    unconstrained parameterization v = kappa * pole (continuous at v = 0,
-    where the map is the identity and the moments do not depend on the
-    pole). Returns the best map found, flagged if the tolerance was not
-    reached within the budget.
+    Root finding (MINPACK hybrd, finite-difference Jacobian) on the moment
+    map v -> moment_vector at q in the unconstrained parameterization
+    v = kappa * pole (continuous at v = 0, where the map is the identity).
+    The first root is the conformal barycenter at q = 2, which exists and is
+    unique, found from v = 0; q then walks from 2 to p in equal steps, each
+    started from the previous root, and a step whose root misses tol is
+    halved. Below a fixed step floor the search stops and returns the best
+    root found at p, flagged as not converged. `evaluations` counts the
+    moment_vector calls, Jacobian differences included.
     """
     _check_tol(tol)
     phi = np.asarray(phi, dtype=float)
     if phi.shape[1] != 3:
         raise ValueError("balancing search is implemented for maps into S^2")
     evaluations = 0
+    best = None
 
-    def norm_at(v):
-        nonlocal evaluations
-        evaluations += 1
-        return float(np.linalg.norm(
-            moment_vector(mesh, phi, density, p, _params_to_map(v))))
+    def solve(v, q):
+        nonlocal evaluations, best
+        # the data go in args: root keeps the function it wraps in a
+        # reference cycle, which would hold a closure's mesh until a gc
+        sol = root(_moments, v, args=(mesh, phi, density, q), method="hybr",
+                   options={"xtol": 1e-14})
+        evaluations += sol.nfev
+        norm = float(np.linalg.norm(sol.fun))
+        if q == p and (best is None or norm < best[1]):
+            best = (sol.x, norm)
+        return sol.x, norm
 
-    poles = build_icosphere(2).vertices
-    kappas = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 19)])
-    best_v, best_norm = np.zeros(phi.shape[1]), norm_at(np.zeros(phi.shape[1]))
-    for kappa in kappas[1:]:
-        for a in poles:
-            v = kappa * a
-            s = norm_at(v)
-            if s < best_norm:
-                best_norm, best_v = s, v
-    if best_norm > tol:
-        res = minimize(lambda v: norm_at(v) ** 2, best_v,
-                       method="Nelder-Mead",
-                       options={"maxfev": budget, "xatol": 1e-14,
-                                "fatol": 1e-30})
-        s = math.sqrt(max(res.fun, 0.0))
-        if s < best_norm:
-            best_norm, best_v = s, res.x
-    return BalanceResult(_params_to_map(best_v), best_norm, evaluations,
-                         best_norm <= tol)
+    v, _ = solve(np.zeros(3), 2.0)
+    q, step = 2.0, (p - 2.0) / _STAGES
+    while q != p:
+        q_next = p if abs(p - q) <= abs(step) * (1.0 + 1e-9) else q + step
+        v_next, norm = solve(v, q_next)
+        if norm <= tol:
+            q, v = q_next, v_next
+        elif abs(step) >= 2.0 * _MIN_STEP:
+            step /= 2.0
+        else:
+            if best is None:
+                solve(v, p)
+            break
+    v, norm = best
+    return BalanceResult(_params_to_map(v), norm, evaluations, norm <= tol)
 
 
 def balanced_energy_bound(mesh, f, psi, p, tol=1e-6):
@@ -290,70 +251,3 @@ def balanced_energy_bound(mesh, f, psi, p, tol=1e-6):
     energy = float(np.sum(prob.nw * hs ** (p / 2.0)))
     return (n1) ** abs(p / 2.0 - 1.0) * energy
 
-
-def _image_area(mesh, points, max_edge=None):
-    """Total flat area of the mapped triangles.
-
-    With max_edge set, candidates whose image triangles are unresolved
-    (some edge chord beyond it) evaluate to -inf: their flat areas no
-    longer estimate the image measure, so they must not win the search.
-    """
-    p = points[mesh.elements]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    if max_edge is not None:
-        e3 = p[:, 2] - p[:, 1]
-        longest = max(np.linalg.norm(e1, axis=1).max(),
-                      np.linalg.norm(e2, axis=1).max(),
-                      np.linalg.norm(e3, axis=1).max())
-        if longest > max_edge:
-            return -np.inf
-    return float(np.linalg.norm(np.cross(e1, e2), axis=1).sum() / 2.0)
-
-
-def sup_image_volume(mesh, phi, n_t=32, refine_steps=60):
-    """Lower estimate of the supremum over dilations of the image area.
-
-    Maximizes the total mapped triangle area over a pole/strength grid
-    (level-2 icosphere poles, log-spaced strengths including the identity),
-    then by deterministic pattern search. Rotations change nothing, so the
-    family of dilations exhausts the search directions that matter.
-    """
-    if mesh.dim != 2:
-        raise ValueError("image volume needs a surface mesh")
-    phi = np.asarray(phi, dtype=float)
-    p = phi[mesh.elements]
-    base_longest = max(float(np.linalg.norm(p[:, i] - p[:, j], axis=1).max())
-                       for i, j in ((0, 1), (1, 2), (2, 0)))
-    edge_cap = max(0.75, 2.0 * base_longest)
-
-    def area_at(v):
-        return _image_area(mesh, _params_to_map(v).apply(phi),
-                           max_edge=edge_cap)
-
-    poles = build_icosphere(2).vertices
-    kappas = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, n_t - 1)])
-    best_v = np.zeros(3)
-    best = area_at(best_v)
-    for kappa in kappas[1:]:
-        for a in poles:
-            v = kappa * a
-            s = area_at(v)
-            if s > best:
-                best, best_v = s, v
-    step = 0.25
-    for _ in range(refine_steps):
-        improved = False
-        for k in range(3):
-            for sign in (+1.0, -1.0):
-                v = best_v.copy()
-                v[k] += sign * step
-                s = area_at(v)
-                if s > best:
-                    best, best_v = s, v
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return best

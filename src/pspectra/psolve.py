@@ -42,7 +42,6 @@ __all__ = [
     "rayleigh_quotient",
     "weighted_problem",
     "p_shift",
-    "sign_split_shift",
     "solve_closed",
     "solve_neumann",
     "solve_dirichlet",
@@ -52,7 +51,6 @@ __all__ = [
     "radial_average",
     "split_band_plateau",
     "shooting_eigenvalue_1d",
-    "positive_negative_quotients",
 ]
 
 _TINY = 1e-300
@@ -227,37 +225,6 @@ def p_shift(u, weights, p, c0=None):
             dx_old, dx = dx, 0.5 * (hi - lo)
             c = 0.5 * (lo + hi)
     return best_c
-
-
-def sign_split_shift(u, weights, p):
-    """Factor s >= 0 balancing s*u+ + u- against the weights.
-
-    The balance integral is strictly increasing in s, so the root is unique;
-    located by bisection.
-    """
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    pos = u > 0.0
-    neg = u < 0.0
-    a = float(np.sum(u[pos] ** (p - 1.0) * w[pos]))
-    b = float(np.sum(np.abs(u[neg]) ** (p - 1.0) * w[neg]))
-    if a <= 0.0 or b <= 0.0:
-        raise DegenerateFieldError("field does not take both signs")
-    hi = 1.0
-    for _ in range(200):
-        if hi ** (p - 1.0) * a - b >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("no bracket for the sign-split balance")
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid ** (p - 1.0) * a - b >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -1012,9 +979,3 @@ def shooting_eigenvalue_1d(p, mode, halfwidth, tol=1e-10):
         raise ConvergenceError("boundary residual above tolerance")
     return lam
 
-
-def positive_negative_quotients(mesh, f, p, u):
-    """Unconstrained quotients of the positive and negative parts of u."""
-    u = check_field(mesh, u)
-    return (rayleigh_quotient(mesh, f, p, np.maximum(u, 0.0)),
-            rayleigh_quotient(mesh, f, p, np.minimum(u, 0.0)))

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pspectra import psolve
+from pspectra import build_icosphere, mobius, psolve
 from pspectra.cli import main
 
 
@@ -271,6 +271,26 @@ class TestBalanceCommand:
         assert payload["moment_norm"] <= 1e-6
         assert not payload["bound_holds"]
 
+    def test_missed_balance_exits_two(self, tmp_path, outdir, monkeypatch):
+        # a miss far above tol is flagged with results, not an error
+        def missed(mesh, phi, density, p, tol):
+            ident = mobius.MobiusMap(np.array([0.0, 0.0, 1.0]), 1.0)
+            norm = np.linalg.norm(
+                mobius.moment_vector(mesh, phi, density, p, ident))
+            return mobius.BalanceResult(ident, float(norm), 1, False)
+
+        monkeypatch.setattr(mobius, "balance", missed)
+        cfg = write_config(tmp_path / "b.json", {
+            "mesh": {"kind": "icosphere", "level": 2}, "p": 2.0,
+            "factor": {"kind": "cap", "direction": [0.3, -0.5, 0.8]},
+        })
+        result = run(["balance", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 2
+        assert "flagged: balancing did not reach tolerance" in result.output
+        payload = json.loads((outdir / "results.json").read_text())
+        assert not payload["converged"]
+        assert payload["moment_norm"] > 1e-2
+
     @pytest.mark.parametrize("tol", [-1.0, 0.0])
     def test_nonpositive_tol_exits_one(self, tmp_path, outdir, tol):
         cfg = write_config(tmp_path / "b.json", {
@@ -398,6 +418,99 @@ class TestMalformedConfig:
         tmp = tmp_path_factory.mktemp("cfg")
         cfg = write_config(tmp / "c.json", config)
         result = run([command, "--config", cfg, "--out", str(tmp / "out")])
+        assert result.exit_code == 1
+        assert "error: " in result.output
+        assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("mesh, direction", [
+    (EIGEN_CIRCLE["mesh"], [1.0, 0.0]),
+    ({"kind": "icosphere", "level": 1}, [0.0, 0.0, 0.0]),
+])
+def test_bad_cap_direction_exits_one(tmp_path, outdir, mesh, direction):
+    cfg = write_config(tmp_path / "c.json", {
+        **EIGEN_CIRCLE, "mesh": mesh,
+        "factor": {"kind": "cap", "direction": direction}})
+    result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+    assert result.exit_code == 1
+    assert "error: " in result.output
+    assert "cap" in result.output.split("error: ", 1)[1]
+    assert "Traceback" not in result.output
+
+
+_ICO1 = build_icosphere(1)
+# well-formed inputs for the EIGEN_CIRCLE config (40 vertices) and a level-1
+# icosphere; the strategy below breaks one row or token of one of them
+VALID_FILES = {
+    "factor_csv": "vertex,value\n" + "".join(f"{i},1.0\n" for i in range(40)),
+    "mesh_csv": (f"# kind=circle length={2 * np.pi!r}\n"
+                 "vertex,coordinate,boundary\n"
+                 + "".join(f"{i},{i * 2 * np.pi / 40!r},0\n"
+                           for i in range(40))),
+    "off": (f"OFF\n{_ICO1.n_vertices} {_ICO1.n_elements} 0\n"
+            + "".join("%r %r %r\n" % tuple(map(float, v))
+                      for v in _ICO1.vertices)
+            + "".join("3 %d %d %d\n" % tuple(e) for e in _ICO1.elements)),
+}
+# never a number, not even nan or inf
+WORDS = st.text(alphabet="bcxyz", min_size=1, max_size=3)
+
+
+@st.composite
+def malformed_files(draw):
+    kind = draw(st.sampled_from(sorted(VALID_FILES)))
+    text = VALID_FILES[kind]
+    if kind == "off":
+        tokens = text.split()
+        nv, nf = int(tokens[1]), int(tokens[2])
+        how = draw(st.sampled_from(["truncate", "word", "huge_index"]))
+        if how == "truncate":
+            tokens = tokens[:draw(st.integers(0, len(tokens) - 1))]
+        elif how == "word":
+            # token 3 (the edge count) is not read
+            k = draw(st.integers(0, len(tokens) - 2))
+            tokens[k + (k >= 3)] = draw(WORDS)
+        else:
+            face = draw(st.integers(0, nf - 1))
+            tokens[4 + 3 * nv + 4 * face + draw(st.integers(1, 3))] = "9" * 25
+        return kind, " ".join(tokens)
+    lines = text.splitlines(keepends=True)
+    header = 1 if kind == "factor_csv" else 2
+    i = draw(st.integers(header, len(lines) - 1))
+    fields = lines[i].strip().split(",")
+    k = draw(st.integers(0, len(fields) - 1))
+    how = draw(st.sampled_from(["drop", "extra", "word"]))
+    if how == "drop":
+        del fields[k]
+    elif how == "extra":
+        fields.insert(k, "1")
+    else:
+        fields[k] = draw(WORDS)
+    lines[i] = ",".join(fields) + "\n"
+    return kind, "".join(lines)
+
+
+class TestMalformedInputFile:
+    @settings(max_examples=40, deadline=None)
+    @example(case=("factor_csv", "vertex,value\n0\n1\n"))
+    @example(case=("mesh_csv", "# kind=interval\nvertex,coordinate,boundary\n"
+                               "0,0.0\n1,1.0,1\n"))
+    @example(case=("mesh_csv", "# kind=circle\nvertex,coordinate,boundary\n"
+                               "0,0.0,0\n1,1.0,0\n2,2.0,0\n"))
+    @example(case=("off", "OFF\n3 1 0\n1 0 0\n0 1 0\n0 0 1\n"
+                          "3 0 1 99999999999999999999\n"))
+    @given(case=malformed_files())
+    def test_exits_one(self, tmp_path_factory, case):
+        kind, text = case
+        tmp = tmp_path_factory.mktemp("file")
+        (tmp / "input").write_text(text)
+        key, file_kind = {"factor_csv": ("factor", "csv"),
+                          "mesh_csv": ("mesh", "csv"),
+                          "off": ("mesh", "off")}[kind]
+        cfg = write_config(tmp / "c.json", {
+            **EIGEN_CIRCLE, key: {"kind": file_kind,
+                                  "path": str(tmp / "input")}})
+        result = run(["eigen", "--config", cfg, "--out", str(tmp / "out")])
         assert result.exit_code == 1
         assert "error: " in result.output
         assert "Traceback" not in result.output

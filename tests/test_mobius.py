@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from pspectra import (MobiusMap, balance, balanced_energy_bound,
                       cap_density, integrate, measure_density, mobius,
                       moment_vector, normalize_unit_volume, p_shift,
-                      solve_closed, stereographic, stereographic_inverse,
-                      sup_image_volume, SolveOptions)
-from pspectra.mobius import _chart_frame
+                      solve_closed, SolveOptions)
 
 
 def unit(v):
@@ -17,6 +15,22 @@ def unit(v):
 
 
 IDENTITY = MobiusMap(np.array([0.0, 0.0, 1.0]), 1.0)
+
+
+def _chart_frame(a):
+    """Orthonormal completion of the pole: Gram-Schmidt of the standard
+    basis against a, in lexicographic order."""
+    frame = []
+    for e in np.eye(a.shape[0]):
+        e = e - (e @ a) * a
+        for b in frame:
+            e = e - (e @ b) * b
+        norm = np.linalg.norm(e)
+        if norm > 1e-8:
+            frame.append(e / norm)
+        if len(frame) == a.shape[0] - 1:
+            break
+    return np.array(frame)
 
 
 def chart_apply(g, x):
@@ -52,32 +66,6 @@ def quadrature_moments(mesh, phi, density, p, g):
                        * density)
              for i in range(psi.shape[1])]
     return np.array(comps) / integrate(mesh, density)
-
-
-class TestStereographic:
-    def test_antipode_to_origin(self):
-        a = unit([0.3, -0.2, 0.93])
-        y = stereographic(a, -a)
-        assert np.allclose(y, 0.0, atol=1e-14)
-
-    def test_equator_to_unit_sphere(self):
-        a = unit([0.0, 0.0, 1.0])
-        x = unit([1.0, 0.0, 0.0])
-        assert np.linalg.norm(stereographic(a, x)) == pytest.approx(1.0)
-
-    def test_roundtrip_thousand_points(self):
-        rng = np.random.default_rng(3)
-        a = unit(rng.standard_normal(3))
-        x = rng.standard_normal((1000, 3))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        x = x[(x @ a) < 1.0 - 1e-6]
-        back = stereographic_inverse(a, stereographic(a, x))
-        assert np.max(np.linalg.norm(back - x, axis=1)) < 1e-10
-
-    def test_pole_rejected(self):
-        a = unit([0.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            stereographic(a, a)
 
 
 class TestMobiusMap:
@@ -207,6 +195,25 @@ class TestBalance:
         assert res.evaluations > 0
         assert len(calls) == res.evaluations
 
+    def test_two_cap_low_p(self, sphere4):
+        # a grid search plus simplex refinement stalled here at norm 4.1e-4
+        dens = (cap_density(sphere4, [0.0, 0.0, 1.0], 30.0)
+                + 0.3 * cap_density(sphere4, [1.0, 0.0, 0.0], 30.0))
+        res = balance(sphere4, sphere4.vertices, dens, 1.3)
+        assert res.converged
+        assert res.moment_norm <= 1e-6
+
+    @pytest.mark.parametrize("concentration", [20.0, 100.0])
+    def test_p_near_one_reports_instead_of_raising(self, sphere4,
+                                                   concentration):
+        # near p = 1 the moment map is nearly a sign function, so the root
+        # search may miss; a miss is flagged, not raised
+        dens = cap_density(sphere4, [0.3, -0.5, 0.8], concentration)
+        res = balance(sphere4, sphere4.vertices, dens, 1.1)
+        assert isinstance(res, mobius.BalanceResult)
+        assert np.isfinite(res.moment_norm)
+        assert res.converged == (res.moment_norm <= 1e-6)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_tol(self, sphere2, tol):
         dens = np.ones(sphere2.n_vertices)
@@ -287,23 +294,6 @@ class TestBalancedEnergyBound:
         solved = solve_closed(sphere3, f, SolveOptions(p=p, multistart=1),
                               extra_starts=starts)
         assert solved.lam <= bound * 1.02
-
-
-class TestSupImageVolume:
-    def test_identity_sphere(self, sphere3):
-        sup = sup_image_volume(sphere3, sphere3.vertices)
-        assert sup >= 4.0 * np.pi * 0.995
-        assert sup == pytest.approx(sphere3.total_measure, rel=1e-6)
-
-    def test_orbit_invariance(self, sphere3):
-        g0 = MobiusMap(unit([0.2, -0.4, 0.89]), 1.0 / 1.5)
-        sup1 = sup_image_volume(sphere3, sphere3.vertices)
-        sup2 = sup_image_volume(sphere3, g0.apply(sphere3.vertices))
-        assert sup2 == pytest.approx(sup1, rel=0.01)
-
-    def test_degenerate_map(self, sphere2):
-        phi = np.tile([0.0, 0.0, 1.0], (sphere2.n_vertices, 1))
-        assert sup_image_volume(sphere2, phi) == 0.0
 
 
 class TestElementaryInequalities:

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       SolveOptions, build_circle, build_icosphere,
                       build_interval, extract_hemisphere, integrate, measure_density, mirror_index, p_shift,
-                      positive_negative_quotients, radial_average,
-                      random_smooth_factor, rayleigh_quotient, reflect_even,
-                      shooting_eigenvalue_1d, sign_split_shift,
+                      radial_average, random_smooth_factor,
+                      rayleigh_quotient, reflect_even, shooting_eigenvalue_1d,
                       smooth_band_plateau_factor, band_plateau_factor,
                       solve_closed, solve_dirichlet, solve_neumann,
                       split_band_plateau)
@@ -104,36 +103,6 @@ class TestPShift:
     def test_constant_degenerate(self):
         with pytest.raises(DegenerateFieldError):
             p_shift(np.full(5, 3.0), np.ones(5), 2.5)
-
-
-class TestSignSplitShift:
-    def test_already_balanced(self):
-        u = np.array([1.0, -1.0])
-        assert sign_split_shift(u, np.ones(2), 2.0) == pytest.approx(1.0)
-
-    def test_linear_balance(self):
-        s = sign_split_shift(np.array([3.0, -1.0]), np.ones(2), 2.0)
-        assert s == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_quadratic_balance(self):
-        # 9 s^2 - 1 = 0
-        s = sign_split_shift(np.array([3.0, -1.0]), np.ones(2), 3.0)
-        assert s == pytest.approx(1.0 / 3.0, abs=1e-10)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(1.2, 5.0), st.integers(0, 2 ** 31 - 1))
-    def test_root_property(self, p, seed):
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(40)
-        w = rng.random(40) + 0.05
-        s = sign_split_shift(u, w, p)
-        us = s * np.maximum(u, 0.0) + np.minimum(u, 0.0)
-        h = np.sum(np.sign(us) * np.abs(us) ** (p - 1.0) * w)
-        assert abs(h) <= 1e-9 * np.sum(np.abs(us) ** (p - 1.0) * w)
-
-    def test_single_signed_rejected(self):
-        with pytest.raises(DegenerateFieldError):
-            sign_split_shift(np.array([1.0, 2.0]), np.ones(2), 2.0)
 
 
 class TestSolveClosed:
@@ -483,8 +452,11 @@ class TestSolverInternals:
     def test_positive_negative_parts_equal_quotients(self, circle400):
         res = solve_closed(circle400, ones(circle400),
                            SolveOptions(p=2.5, multistart=1))
-        qp, qn = positive_negative_quotients(circle400, ones(circle400), 2.5,
-                                             res.eigenfunction)
+        u = res.eigenfunction
+        qp = rayleigh_quotient(circle400, ones(circle400), 2.5,
+                               np.maximum(u, 0.0))
+        qn = rayleigh_quotient(circle400, ones(circle400), 2.5,
+                               np.minimum(u, 0.0))
         assert qp == pytest.approx(res.lam, rel=0.02)
         assert qn == pytest.approx(res.lam, rel=0.02)
 
@@ -501,7 +473,10 @@ class TestFactorDominationChain:
                                         max_iterations=6000))
         u = res.eigenfunction
         w_sing = measure_density(mesh, singular) * mesh.vertex_measure
-        s = sign_split_shift(u, w_sing, p)
+        # s^(p-1) * (positive mass) = negative mass, for s u+ + u-
+        a = np.sum(np.maximum(u, 0.0) ** (p - 1.0) * w_sing)
+        b = np.sum(np.maximum(-u, 0.0) ** (p - 1.0) * w_sing)
+        s = (b / a) ** (1.0 / (p - 1.0))
         u_t = s * np.maximum(u, 0.0) + np.minimum(u, 0.0)
         q_smooth = rayleigh_quotient(mesh, smooth, p, u_t)
         q_sing = rayleigh_quotient(mesh, singular, p, u_t)
