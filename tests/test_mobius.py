@@ -33,6 +33,33 @@ def _chart_frame(a):
     return np.array(frame)
 
 
+def stereographic(a, x):
+    """Reference chart: coordinates of sphere points under projection from
+    pole a, in the frame :func:`chart_apply` uses.
+
+    The antipode of a maps to the origin and the equator orthogonal to a
+    maps onto the unit sphere of the chart.
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    frame = _chart_frame(a)
+    denom = 1.0 - x @ a
+    if np.any(denom < 1e-9):
+        raise ValueError("cannot project a point at (or too close to) the pole")
+    y = (x @ frame.T) / denom[:, None]
+    return y[0] if y.shape[0] == 1 and np.asarray(x).ndim == 1 else y
+
+
+def stereographic_inverse(a, y):
+    """Inverse of :func:`stereographic` for the same pole."""
+    a = np.asarray(a, dtype=float)
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    frame = _chart_frame(a)
+    s = np.sum(y * y, axis=1)
+    x = (2.0 * y @ frame + (s - 1.0)[:, None] * a) / (s + 1.0)[:, None]
+    return x[0] if x.shape[0] == 1 and np.asarray(y).ndim == 1 else x
+
+
 def chart_apply(g, x):
     """Reference dilation through the stereographic chart frame."""
     a = np.asarray(g.pole)
@@ -66,6 +93,34 @@ def quadrature_moments(mesh, phi, density, p, g):
                        * density)
              for i in range(psi.shape[1])]
     return np.array(comps) / integrate(mesh, density)
+
+
+class TestStereographic:
+    """The chart that the reference :func:`chart_apply` is built on."""
+
+    def test_antipode_to_origin(self):
+        a = unit([0.3, -0.2, 0.93])
+        y = stereographic(a, -a)
+        assert np.allclose(y, 0.0, atol=1e-14)
+
+    def test_equator_to_unit_sphere(self):
+        a = unit([0.0, 0.0, 1.0])
+        x = unit([1.0, 0.0, 0.0])
+        assert np.linalg.norm(stereographic(a, x)) == pytest.approx(1.0)
+
+    def test_roundtrip_thousand_points(self):
+        rng = np.random.default_rng(3)
+        a = unit(rng.standard_normal(3))
+        x = rng.standard_normal((1000, 3))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        x = x[(x @ a) < 1.0 - 1e-6]
+        back = stereographic_inverse(a, stereographic(a, x))
+        assert np.max(np.linalg.norm(back - x, axis=1)) < 1e-10
+
+    def test_pole_rejected(self):
+        a = unit([0.0, 1.0, 0.0])
+        with pytest.raises(ValueError):
+            stereographic(a, a)
 
 
 class TestMobiusMap:

@@ -105,6 +105,50 @@ class TestPShift:
             p_shift(np.full(5, 3.0), np.ones(5), 2.5)
 
 
+def sign_split_shift(u, weights, p):
+    """Reference factor s > 0 balancing s u+ + u- against the weights:
+    s^(p-1) * (positive mass) = negative mass, in closed form."""
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    a = float(np.sum(np.maximum(u, 0.0) ** (p - 1.0) * w))
+    b = float(np.sum(np.maximum(-u, 0.0) ** (p - 1.0) * w))
+    if a <= 0.0 or b <= 0.0:
+        raise DegenerateFieldError("field does not take both signs")
+    return (b / a) ** (1.0 / (p - 1.0))
+
+
+class TestSignSplitShift:
+    """The reference shift that :class:`TestFactorDominationChain` uses."""
+
+    def test_already_balanced(self):
+        u = np.array([1.0, -1.0])
+        assert sign_split_shift(u, np.ones(2), 2.0) == pytest.approx(1.0)
+
+    def test_linear_balance(self):
+        s = sign_split_shift(np.array([3.0, -1.0]), np.ones(2), 2.0)
+        assert s == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_quadratic_balance(self):
+        # 9 s^2 - 1 = 0
+        s = sign_split_shift(np.array([3.0, -1.0]), np.ones(2), 3.0)
+        assert s == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(1.2, 5.0), st.integers(0, 2 ** 31 - 1))
+    def test_root_property(self, p, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(40)
+        w = rng.random(40) + 0.05
+        s = sign_split_shift(u, w, p)
+        us = s * np.maximum(u, 0.0) + np.minimum(u, 0.0)
+        h = np.sum(np.sign(us) * np.abs(us) ** (p - 1.0) * w)
+        assert abs(h) <= 1e-9 * np.sum(np.abs(us) ** (p - 1.0) * w)
+
+    def test_single_signed_rejected(self):
+        with pytest.raises(DegenerateFieldError):
+            sign_split_shift(np.array([1.0, 2.0]), np.ones(2), 2.0)
+
+
 class TestSolveClosed:
     def test_circle_p2(self, circle400):
         res = solve_closed(circle400, ones(circle400), SolveOptions(p=2.0))
@@ -473,10 +517,7 @@ class TestFactorDominationChain:
                                         max_iterations=6000))
         u = res.eigenfunction
         w_sing = measure_density(mesh, singular) * mesh.vertex_measure
-        # s^(p-1) * (positive mass) = negative mass, for s u+ + u-
-        a = np.sum(np.maximum(u, 0.0) ** (p - 1.0) * w_sing)
-        b = np.sum(np.maximum(-u, 0.0) ** (p - 1.0) * w_sing)
-        s = (b / a) ** (1.0 / (p - 1.0))
+        s = sign_split_shift(u, w_sing, p)
         u_t = s * np.maximum(u, 0.0) + np.minimum(u, 0.0)
         q_smooth = rayleigh_quotient(mesh, smooth, p, u_t)
         q_sing = rayleigh_quotient(mesh, singular, p, u_t)
