@@ -133,7 +133,8 @@ def build_factor(mesh, spec, p=None):
 def solve_options(cfg, **defaults):
     """SolveOptions from the config's p, seed and solver block; defaults are
     a command's own values for keys the solver block leaves unset. The seed
-    is the config's, else the solver block's, else 0."""
+    is the config's, else the solver block's, else 0 (it is validated, but
+    the solver draws nothing from it)."""
     solver = {**defaults, **_get(cfg, "solver", dict, {})}
     kinds = {f.name: type(f.default)
              for f in dataclasses.fields(psolve.SolveOptions)
@@ -293,19 +294,7 @@ def _sweep_case(args):
     mesh = build_mesh(mesh_spec)
     f = conformal.smooth_band_plateau_factor(mesh, eps, p)
     vol = conformal.volume(mesh, f)
-    r = mesh.colatitudes
-    # odd profile across the band: slope confined to where the factor is 1
-    starts = [np.clip((r - np.pi / 2) / (eps / 2.0), -1.0, 1.0)]
-    if mesh.kind == "circle":
-        # in 1-D the weighted circle is isometric to a plain circle of its
-        # conformal length; pull the first circle mode back through that
-        # isometry (extrema at the plateau centers)
-        sq = np.sqrt(f)
-        seg = 0.5 * (sq + np.roll(sq, -1)) * mesh.element_measure
-        sigma = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
-        starts.append(np.cos(2.0 * np.pi * sigma / seg.sum()))
-    result = psolve.solve_closed(mesh, f, opts, u0=warm, extra_starts=starts,
-                                 include_canonical=False)
+    result = psolve.solve_closed(mesh, f, opts, u0=warm)
     m = mesh.dim
     lam_unit = vol ** (p / m) * result.lam
     return {
@@ -345,9 +334,7 @@ def sweep_eps(cfg, outdir, jobs):
     for eps in eps_list:
         conformal.smooth_band_plateau_factor(mesh, eps, opts.p)  # validates
     if jobs > 1:
-        cases = [(mesh_spec, eps,
-                  dataclasses.replace(opts, seed=opts.seed + i), None)
-                 for i, eps in enumerate(eps_list)]
+        cases = [(mesh_spec, eps, opts, None) for eps in eps_list]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_case, cases))
     else:
@@ -413,19 +400,16 @@ def verify_bound(cfg, outdir, jobs):
     exit if any case fails.
     """
     mesh = build_mesh(_get(cfg, "mesh", dict))
-    opts = solve_options(cfg, multistart=1, tolerance=1e-6,
-                         residual_target=1e-3, max_iterations=9000)
+    opts = solve_options(cfg, residual_target=1e-3, max_iterations=9000)
     seed = _get(cfg, "seed", int, 0)
     shared = (_get(cfg, "amplitude", float, 1.0),
               _get(cfg, "source", str, "conformal_volume"),
               _get(cfg, "genus", int, 0), _get(cfg, "orientable", bool, True),
               _get(cfg, "slack", float, bounds_mod.MESH_SLACK),
               _get(cfg, "self_test_corrupt_bound", bool, False))
-    # the round factor is solved with seed 0, a random one with its own seed
     factor_seeds = [None] + [seed + i for i in
                              range(_get(cfg, "n_factors", int, 5))]
-    cases = [(mesh, dataclasses.replace(opts, seed=0 if s is None else s), s)
-             + shared for s in factor_seeds]
+    cases = [(mesh, opts, s) + shared for s in factor_seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_bound_case, cases))
@@ -489,8 +473,7 @@ def dirichlet_scaling(cfg, outdir):
     (scaled = lambda * eps^p). Asserts the scaled columns constant within
     1e-6 (FEM, proportionally scaled meshes) and 1e-9 (shooting oracle).
     """
-    opts = solve_options(cfg, multistart=1, tolerance=1e-14,
-                         residual_target=1e-9, max_iterations=60000)
+    opts = solve_options(cfg, residual_target=1e-9, max_iterations=60000)
     p = opts.p
     n = _get(cfg, "n", int, 400)
     rows = []

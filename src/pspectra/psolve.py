@@ -1,20 +1,28 @@
-"""First eigenvalues of the p-Laplacian by constrained quotient descent.
+"""First eigenvalues of the p-Laplacian.
 
 The closed and Neumann problems minimize the weighted Rayleigh quotient over
-fields with vanishing weighted p-mean; the constraint is enforced by
-re-shifting after every step (the shift is the exact minimizer of the
-denominator over constants). The Dirichlet problem fixes boundary values to
-zero instead. Nonsmoothness of the energy for p < 2 is handled by a
-geometric continuation on the regularization parameter.
+fields with vanishing weighted p-mean; the Dirichlet problem fixes boundary
+values to zero instead.
 
 At p = 2 the quotient is u'Ku / u'Mu with M = diag(rho), and the minimizer is
 computed directly as the first nonzero eigenpair of the pencil (K, M) by
 shift-invert Lanczos (ARPACK; Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
-SIAM 1998). For p != 2 the closed and Neumann descents start from that p = 2
-eigenvector.
+SIAM 1998).
 
-Each solve owns an isolated workspace and is deterministic for a fixed seed;
-distinct solves may run concurrently.
+For p != 2 the solvers minimize the quotient by Newton's method on the
+bordered eigen-system F(u, lam) = (grad N(u) - lam grad D(u), 1 - D(u)) = 0
+(Ruhe, SIAM J. Numer. Anal. 10, 1973), N the numerator with its gradient
+square regularized and D the denominator, continued in p from the p = 2
+eigenvector in equal stages. Steps are accepted on a sufficient decrease of
+the quotient; where the Newton step does not descend, a Levenberg-Marquardt
+shift of lam turns it towards a preconditioned gradient step, so the
+iteration does not settle on saddles of the quotient. The entries of grad N
+sum to zero, so a critical point with lam > 0 has vanishing weighted p-mean
+by itself; trial fields are shifted to it anyway, which keeps every
+accepted quotient an upper bound of the eigenvalue.
+
+Each solve owns an isolated workspace and is deterministic; distinct solves
+may run concurrently.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import bmat, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import cKDTree
 
@@ -66,18 +74,20 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SolveOptions:
-    """Options for the quotient descent.
+    """Options of the p != 2 Newton solve.
 
-    tolerance is on the relative quotient decrease; delta is the final
-    regularization level of the continuation (the energy uses
-    (|du|^2 + (delta * s)^2)^(p/2) with s a per-start gradient scale, which
-    keeps the continuation exactly equivariant under mesh dilation).
-    residual_target stops the final stage once the projected stationarity
-    residual falls below it (relative to the numerator gradient scale);
-    quotient stalls only end the final stage once the residual is within a
-    hundredfold of that target. At p = 2 the solvers run no descent (one
-    eigensolve gives the exact discrete minimizer) and use none of the
-    other options.
+    max_iterations caps the Newton systems a solve factors and solves,
+    summed over the continuation stages and the supplied starts.
+    residual_target is the projected stationarity residual (relative to
+    the numerator gradient scale) at which a stage stops; a result is
+    converged when its residual meets it. delta is the regularization
+    level: each stage solves with the energy (|du|^2 + (delta * s)^2)^(p/2),
+    s^2 the mean |du|^2 of the stage's start, which keeps the solve exactly
+    equivariant under mesh dilation and factor scaling. tolerance,
+    multistart and seed are accepted and validated but ignored: the solve
+    draws no random starts and stops on the residual alone. At p = 2 the
+    solvers run no Newton steps (one eigensolve gives the exact discrete
+    minimizer).
     """
 
     p: float
@@ -109,11 +119,15 @@ class SpectralResult:
 
     The eigenfunction is normalized so the weighted p-norm integral is one;
     constraint_defect is the weighted p-mean of the eigenfunction (zero for
-    admissible fields), gradient_residual the norm of the projected descent
-    direction at termination relative to the numerator gradient scale.
-    stop_reason is "eigensolve" at p = 2, otherwise why the final descent
-    stage stopped: "residual", "stalled", "line_search_floor" or
-    "max_iterations".
+    admissible fields), gradient_residual the norm of the projected quotient
+    gradient relative to the numerator gradient scale, and converged whether
+    it meets the residual target. iterations counts the Newton systems
+    solved, restarts the supplied starts solved besides the continuation
+    path. stop_reason is "eigensolve" at p = 2, otherwise why the Newton run
+    of the result stopped: "residual", "line_search_floor" or
+    "max_iterations". history holds the regularized quotient at the start
+    of that run and after each accepted step (nonincreasing; empty at
+    p = 2).
     """
 
     lam: float
@@ -227,6 +241,13 @@ def p_shift(u, weights, p, c0=None):
     return best_c
 
 
+def _power_change(x, dx, s):
+    """(x + dx)^s - x^s for x, x + dx >= 0, accurate for small dx."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        change = x ** s * np.expm1(s * np.log1p(dx / x))
+    return np.where(x > 0.0, change, (x + dx) ** s)
+
+
 # -- assembly ----------------------------------------------------------------
 
 class _Assembly:
@@ -244,7 +265,6 @@ class _Assembly:
             self.E2 = None
             self.ga = np.ones(ne)
             self.gb = self.gc = None
-            sdiag = np.column_stack([invh * invh, invh * invh])
         else:
             ones = np.ones(ne)
             d1 = np.column_stack([-ones, ones]).ravel()
@@ -254,23 +274,18 @@ class _Assembly:
                                  shape=(ne, nv))
             from .mesh import _gram_inverse
             self.ga, self.gb, self.gc = _gram_inverse(mesh)
-            # per-element Hessian-diagonal structure of the gradient square
-            sdiag = np.column_stack([self.ga + 2.0 * self.gb + self.gc,
-                                     self.ga, self.gc])
-        # scatter (vertex x element): Jacobi diagonal of the energy Hessian
-        vrows = el.ravel()
-        vcols = np.repeat(np.arange(ne), el.shape[1])
-        self.Sdiag = csr_matrix((sdiag.ravel(), (vrows, vcols)),
-                                shape=(nv, ne))
         self.E1T = self.E1.T.tocsr()
         self.E2T = None if self.E2 is None else self.E2.T.tocsr()
         self.coords = mesh.vertices.reshape(nv, -1)
 
     @cached_property
     def dissection_order(self):
-        """Nested-dissection order of all vertices (shared elements are the
-        sparsity pattern of every stiffness matrix on the mesh)."""
-        return _dissection_order(self.coords, self.Sdiag @ self.Sdiag.T)
+        """Nested-dissection order of all vertices; vertices that share an
+        element (the stencil of every stiffness matrix and Hessian on the
+        mesh) are neighbours."""
+        stencil = abs(self.E1) if self.E2 is None else abs(self.E1) + abs(
+            self.E2)
+        return _dissection_order(self.coords, stencil.T @ stencil)
 
 
 def _assembly(mesh):
@@ -308,21 +323,48 @@ class _Problem:
         """Squared gradient of the piecewise-linear field u, per element."""
         return self._gradsq(*self._diffs(u))
 
+    def _assemble(self, h11, h12, h22):
+        """Sparse sum over elements of the per-element 2x2 blocks
+        [[h11, h12], [h12, h22]] acting on the edge differences (h11 alone
+        in 1-D)."""
+        a = self.asm
+        K = a.E1T @ diags(h11) @ a.E1
+        if a.E2 is not None:
+            cross = a.E1T @ diags(h12) @ a.E2
+            K = K + cross + cross.T + a.E2T @ diags(h22) @ a.E2
+        # a compact copy: sparse sums keep views into over-allocated buffers
+        return K.tocsr(copy=True)
+
     def stiffness(self):
         """Sparse K with numerator(u, 0) == u @ K @ u when p = 2."""
         a = self.asm
-        K = a.E1T @ diags(self.nw * a.ga) @ a.E1
-        if a.E2 is not None:
-            cross = a.E1T @ diags(self.nw * a.gb) @ a.E2
-            K = K + cross + cross.T + a.E2T @ diags(self.nw * a.gc) @ a.E2
-        # a compact copy: sparse sums keep views into over-allocated buffers
-        return K.tocsr(copy=True)
+        if a.E2 is None:
+            return self._assemble(self.nw * a.ga, None, None)
+        return self._assemble(self.nw * a.ga, self.nw * a.gb,
+                              self.nw * a.gc)
+
+    def hessian(self, u, reg):
+        """Sparse Hessian of numerator(u, reg): per element
+        coef * G + nw p (p - 2) (g + reg)^(p/2 - 2) (G d)(G d)', with d the
+        edge differences, G the inverse Gram matrix and g = d'Gd."""
+        p, a = self.p, self.asm
+        d1, d2 = self._diffs(u)
+        g = self._gradsq(d1, d2) + reg
+        coef = self.nw * p * g ** (p / 2.0 - 1.0)
+        rank = self.nw * p * (p - 2.0) * g ** (p / 2.0 - 2.0)
+        if d2 is None:
+            return self._assemble(coef + rank * d1 * d1, None, None)
+        gd1 = a.ga * d1 + a.gb * d2
+        gd2 = a.gb * d1 + a.gc * d2
+        return self._assemble(coef * a.ga + rank * gd1 * gd1,
+                              coef * a.gb + rank * gd1 * gd2,
+                              coef * a.gc + rank * gd2 * gd2)
 
     def numerator(self, u, reg):
         g = self.gradsq(u)
         return float(np.sum(self.nw * (g + reg) ** (self.p / 2.0)))
 
-    def num_and_grad(self, u, reg, with_coef=False):
+    def num_and_grad(self, u, reg):
         p = self.p
         d1, d2 = self._diffs(u)
         g = self._gradsq(d1, d2) + reg
@@ -336,24 +378,39 @@ class _Problem:
                                             + self.asm.gb * d2))
                     + self.asm.E2T @ (coef * (self.asm.gb * d1
                                               + self.asm.gc * d2)))
-        if with_coef:
-            return num, grad, coef
         return num, grad
 
     def denominator(self, u):
         return float(np.sum(np.abs(u) ** self.p * self.rho))
 
-    def den_bundle(self, u):
-        """Denominator, its gradient and the constraint normal, sharing the
-        single power evaluation."""
+    def quotient_change(self, u, v, reg):
+        """Regularized quotient of v minus that of u, computed from the
+        difference v - u, so it stays accurate where the two quotients
+        agree to round-off."""
+        d1, d2 = self._diffs(u)
+        e1, e2 = self._diffs(v - u)
+        g = self._gradsq(d1, d2) + reg
+        if d2 is None:
+            dg = e1 * (2.0 * d1 + e1)
+        else:
+            a = self.asm
+            dg = (a.ga * e1 * (2.0 * d1 + e1)
+                  + 2.0 * a.gb * (d1 * e2 + e1 * d2 + e1 * e2)
+                  + a.gc * e2 * (2.0 * d2 + e2))
         au = np.abs(u)
-        aup = au ** self.p
-        den = float(np.sum(aup * self.rho))
+        num = float(np.sum(self.nw * g ** (self.p / 2.0)))
+        den = float(np.sum(self.rho * au ** self.p))
+        dnum = float(np.sum(self.nw * _power_change(g, dg, self.p / 2.0)))
+        dden = float(np.sum(self.rho * _power_change(au, np.abs(v) - au,
+                                                      self.p)))
+        return (dnum * den - num * dden) / (den * (den + dden))
+
+    def normal(self, u):
+        """|u|^(p-2) rho, with |u| floored at 1e-14 max|u|: the normal of
+        the p-mean constraint and, times p(p-1), the Hessian of D."""
+        au = np.abs(u)
         safe = np.maximum(au, 1e-14 * np.max(au) + _TINY)
-        aup1 = aup / safe
-        den_grad = self.p * np.sign(u) * aup1 * self.rho
-        normal = (aup1 / safe) * self.rho if self.constrained else None
-        return den, den_grad, normal
+        return (au ** self.p / safe / safe) * self.rho
 
     def den_grad(self, u):
         return self.p * np.sign(u) * np.abs(u) ** (self.p - 1.0) * self.rho
@@ -365,155 +422,30 @@ class _Problem:
         return abs(val) / max(scale, _TINY)
 
     def project(self, u, c0=None):
-        """Pin/shift/renormalize a candidate onto the feasible set."""
+        """Pin/shift/renormalize a candidate onto the feasible set (c0: a
+        guess of the p-mean shift)."""
         if self.fixed is not None:
             u = u.copy()
             u[self.fixed] = 0.0
-            c = 0.0
         elif self.constrained:
-            c = p_shift(u, self.rho, self.p, c0=c0)
-            u = u - c
+            u = u - p_shift(u, self.rho, self.p, c0=c0)
         den = self.denominator(u)
         if den <= _TINY:
             raise DegenerateFieldError("degenerate start field")
-        return u / den ** (1.0 / self.p), c
+        return u / den ** (1.0 / self.p)
 
-    def tangent(self, u, grad, normal=None):
+    def tangent(self, u, grad):
         """Project a gradient onto the feasible directions at u."""
         if self.fixed is not None:
             grad = grad.copy()
             grad[self.fixed] = 0.0
             return grad
-        if normal is None:
-            normal = self.den_bundle(u)[2]
+        normal = self.normal(u)
         norm = np.linalg.norm(normal)
         if norm <= _TINY:
             return grad
         nc = normal / norm
         return grad - np.dot(grad, nc) * nc
-
-
-def _descend(prob, u, reg, max_iter, tol, res_target, history):
-    """Monotone projected descent with a Jacobi-preconditioned direction.
-
-    Each iterate takes a line-searched descent step on the regularized
-    quotient (direction: quotient gradient scaled by the diagonal of the
-    local Hessian, projected onto the feasible directions), then re-shifts
-    and renormalizes. The quotient is non-increasing across accepted steps
-    by construction. With a residual target set (final continuation stage)
-    stalling of the quotient only ends the stage once the projected
-    residual is small.
-    """
-    p = prob.p
-    u, c = prob.project(u)
-    num, grad_n, coef = prob.num_and_grad(u, reg, with_coef=True)
-    den = prob.denominator(u)
-    quotient = num / den
-    if not history:
-        history.append(quotient)
-    start_len = len(history)
-    prev_u = prev_g = None
-    step = 1.0
-    stall = 0
-    stall_window = 3 if res_target is None else 8
-    window = 40
-    res_hist = []
-    it = 0
-    rel = np.inf
-    reason = "max_iterations"
-    while True:
-        _, grad_d, normal = prob.den_bundle(u)
-        g = (grad_n - quotient * grad_d) / den
-        pg = prob.tangent(u, g, normal)
-        gn_scale = float(np.linalg.norm(grad_n))
-        residual = float(np.linalg.norm(pg)) * den / max(gn_scale, _TINY)
-        res_hist.append(residual)
-        if res_target is not None and residual <= res_target:
-            reason = "residual"
-            break
-        # a stall only counts once the residual of the iterate that would be
-        # returned is near its target or has itself plateaued (its windowed
-        # best stopped improving)
-        if res_target is None or residual <= 100.0 * res_target:
-            res_ok = True
-        elif len(res_hist) > window:
-            res_ok = min(res_hist[-window:]) > 0.5 * min(res_hist[:-window])
-        else:
-            res_ok = False
-        if rel < tol and res_ok:
-            stall += 1
-            if stall >= stall_window:
-                reason = "stalled"
-                break
-        else:
-            stall = 0
-        # windowed stall: average decrease over the last `window` accepted
-        # steps below tolerance (catches slow sub-tolerance crawls)
-        if it >= window and res_ok:
-            drop = (history[start_len + it - window - 1] - quotient)
-            if drop < window * tol * abs(quotient):
-                reason = "stalled"
-                break
-        if it >= max_iter:
-            break
-        diag_n = prob.asm.Sdiag @ coef
-        au = np.abs(u)
-        safe = np.maximum(au, 1e-14 * np.max(au) + _TINY)
-        diag_d = quotient * p * (p - 1.0) * safe ** (p - 2.0) * prob.rho
-        hess = (diag_n + diag_d) / den
-        hess = np.maximum(hess, 1e-12 * np.max(hess) + _TINY)
-        d = prob.tangent(u, g / hess, normal)
-        slope = float(np.dot(g, d))
-        if slope <= 0.0:
-            d = pg
-            slope = float(np.dot(g, d))
-            if slope <= 0.0:
-                reason = "line_search_floor"
-                break
-        # spectral (Barzilai-Borwein) step in the preconditioned metric,
-        # with doubling of the last accepted step as fallback
-        trial_step = min(2.0 * step, 16.0)
-        if prev_u is not None:
-            du = u - prev_u
-            dg = g - prev_g
-            bb_den = float(np.dot(du, dg))
-            if bb_den > 0.0:
-                bb = float(np.dot(du, hess * du)) / bb_den
-                if np.isfinite(bb) and bb > 0.0:
-                    trial_step = min(bb, 1e8)
-        accepted = False
-        for _ in range(45):
-            trial, c = prob.project(u - trial_step * d, c0=c)
-            num_t = prob.numerator(trial, reg)
-            den_t = prob.denominator(trial)
-            q_t = num_t / den_t
-            if q_t < quotient - 1e-4 * trial_step * slope:
-                accepted = True
-                break
-            trial_step *= 0.5
-        if not accepted:
-            reason = "line_search_floor"
-            break
-        step = trial_step
-        prev_u, prev_g = u, g
-        u = trial
-        rel = (quotient - q_t) / max(abs(q_t), _TINY)
-        quotient = q_t
-        den = den_t
-        history.append(quotient)
-        num, grad_n, coef = prob.num_and_grad(u, reg, with_coef=True)
-        it += 1
-    return u, it, reason
-
-
-def _delta_schedule(p, delta_final):
-    if p == 2.0:
-        return [0.0]
-    lo = max(delta_final, 1e-8)
-    stages = list(np.geomspace(1e-2, lo, 7))
-    if delta_final < 1e-8:
-        stages.append(delta_final)
-    return stages
 
 
 def _dissection_order(coords, pattern, leaf=32):
@@ -548,6 +480,22 @@ def _dissection_order(coords, pattern, leaf=32):
     return np.concatenate(order)
 
 
+def _free_order(prob):
+    """The free vertices and the mesh's dissection order restricted to
+    them, in their numbering."""
+    perm = prob.asm.dissection_order
+    if prob.fixed is None:
+        return np.arange(prob.mesh.n_vertices), perm
+    free = np.flatnonzero(~prob.fixed)
+    return free, np.searchsorted(free, perm[~prob.fixed[perm]])
+
+
+def _factor(A, perm):
+    """Sparse LU of the symmetric A in the order perm, without pivoting."""
+    return splu(A.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def _p2_eigenvector(prob):
     """First nonzero eigenvector of the pencil (K, diag(rho)) at p = 2.
 
@@ -557,29 +505,22 @@ def _p2_eigenvector(prob):
     on the free vertices. K - sigma M is factored once, in nested-dissection
     order, and its solves are the Lanczos operator.
     """
-    mesh = prob.mesh
     K = prob.stiffness()
-    perm = prob.asm.dissection_order
+    free, perm = _free_order(prob)
     if prob.fixed is None:
-        free = np.arange(mesh.n_vertices)
         sigma = -1e-3 * K.diagonal().sum() / prob.rho.sum()
         k = 2
     else:
-        free = np.flatnonzero(~prob.fixed)
         if free.size == 0:
             raise DegenerateFieldError("every vertex is pinned")
         K = K[free][:, free]
-        # the mesh order restricted to the free vertices, in their numbering
-        perm = np.searchsorted(free, perm[~prob.fixed[perm]])
         sigma = 0.0
         k = 1
     M = diags(prob.rho[free])
     if free.size <= k:
         _, vecs = eigh(K.toarray(), M.toarray())
     else:
-        lu = splu((K - sigma * M).tocsr()[perm][:, perm].tocsc(),
-                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = _factor(K - sigma * M, perm)
 
         def solve(b):
             x = np.empty_like(b)
@@ -591,60 +532,121 @@ def _p2_eigenvector(prob):
                            OPinv=LinearOperator(K.shape, matvec=solve,
                                                 dtype=float))
         vecs = vecs[:, np.argsort(vals)]
-    u = np.zeros(mesh.n_vertices)
+    u = np.zeros(prob.mesh.n_vertices)
     u[free] = vecs[:, k - 1]
     return u
 
 
-def _dirichlet_bump(mesh):
-    u = np.ones(mesh.n_vertices)
-    u[mesh.boundary] = 0.0
-    if mesh.kind == "interval":
-        x = mesh.vertices
-        u = (x - x[0]) * (x[-1] - x)
-    return u
+_STAGES = 4             # equal steps of p from 2 to the target
+_MIN_STEP = 2.0 ** -10  # Newton steps are halved down to this fraction
+_MAX_DAMPING = 1e3      # relative shift of lam beyond which a run stops
 
 
-def _run_one_start(prob, u0, opts, budget):
-    u, _ = prob.project(np.asarray(u0, dtype=float))
-    gscale = float(np.mean(prob.gradsq(u)))
-    s2 = gscale if gscale > 0 else 1.0
-    history = []
-    used = 0
-    reason = "max_iterations"
-    stages = _delta_schedule(prob.p, opts.delta)
-    for k, delta in enumerate(stages):
-        final = k == len(stages) - 1
-        reg = (delta * delta) * s2
-        cap = budget - used if final else min(300, budget - used)
-        if cap <= 0:
+def _regularization(prob, u, delta):
+    """delta^2 times the mean |du|^2 of u: a level that scales with the
+    field, so the solve is equivariant under dilation."""
+    s2 = float(np.mean(prob.gradsq(u)))
+    return delta * delta * (s2 if s2 > 0.0 else 1.0)
+
+
+def _residual(prob, u, r, grad_n):
+    """Norm of r = grad N - R grad D (the quotient gradient times D)
+    projected on the feasible directions, relative to |grad N|."""
+    return float(np.linalg.norm(prob.tangent(u, r)) /
+                 max(np.linalg.norm(grad_n), _TINY))
+
+
+def _newton_step(prob, u, sigma, reg, r, grad_d, free, perm):
+    """The u part of the solution of the bordered system
+    [[H_N - sigma H_D, -grad D], [-grad D', 0]] [du; dlam] = [-r; 0]
+    on the free vertices, factored in perm order with the border last."""
+    p = prob.p
+    A = prob.hessian(u, reg) - diags(sigma * p * (p - 1.0) * prob.normal(u))
+    if prob.fixed is not None:
+        A = A[free][:, free]
+    b = csr_matrix(-grad_d[free][:, None])
+    lu = _factor(bmat([[A, b], [b.T, None]]), perm)
+    x = np.empty(free.size + 1)
+    x[perm] = lu.solve(np.append(-r[free], 0.0)[perm])
+    du = np.zeros_like(u)
+    du[free] = x[:-1]
+    return du
+
+
+def _newton(prob, u, reg, budget, target, history):
+    """Newton's method for the minimum of the regularized quotient R from
+    the admissible u, on the bordered system of F(u, lam) =
+    (grad N_reg - lam grad D, 1 - D) with lam = R(u).
+
+    Trial iterates are shifted to vanishing p-mean (closed and Neumann
+    problems) and scaled to D = 1. A step is halved down to _MIN_STEP until
+    R decreases sufficiently; when no fraction does, or the step is no
+    descent direction (near a saddle of R), the system is solved again with
+    lam shifted down by a growing multiple of itself, which turns the step
+    towards a preconditioned gradient step. R of the start and of every
+    accepted iterate are appended to history, which is therefore
+    nonincreasing. Returns the iterate, the number of systems solved and
+    why the run stopped.
+    """
+    free, perm = _free_order(prob)
+    perm = np.append(perm, free.size)
+
+    def evaluate(v):
+        num, grad_n = prob.num_and_grad(v, reg)
+        return num, grad_n, prob.denominator(v), prob.den_grad(v)
+
+    ev = evaluate(u)
+    history.append(ev[0] / ev[2])
+    steps = 0
+    damping = 0.0
+    while True:
+        num, grad_n, den, grad_d = ev
+        q = num / den
+        r = grad_n - q * grad_d
+        if _residual(prob, u, r, grad_n) <= target:
+            reason = "residual"
             break
-        tol = opts.tolerance if final else max(opts.tolerance, 1e-9)
-        res_target = opts.residual_target if final else None
-        u, it, reason = _descend(prob, u, reg, cap, tol, res_target, history)
-        used += it
-    converged = reason in ("residual", "stalled", "line_search_floor")
-    return u, used, history, converged, reason
+        if steps >= budget:
+            reason = "max_iterations"
+            break
+        du = _newton_step(prob, u, q * (1.0 - damping), reg, r, grad_d,
+                          free, perm)
+        steps += 1
+        slope = float(np.dot(r, du)) / den
+        t = 1.0
+        while slope < 0.0 and t >= _MIN_STEP:
+            trial = prob.project(u + t * du, c0=0.0)
+            change = prob.quotient_change(u, trial, reg)
+            if change <= 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            damping = 10.0 * damping if damping else 1e-3
+            if damping > _MAX_DAMPING:
+                reason = "line_search_floor"
+                break
+            continue
+        damping = damping / 10.0 if damping > 1e-3 else 0.0
+        u, ev = trial, evaluate(trial)
+        history.append(history[-1] + change)
+    return u, steps, reason
 
 
-def _finalize(prob, u, used, restarts, converged, history, reason):
+def _finalize(prob, u, reg, target, history, reason):
     den = prob.denominator(u)
     lam = prob.numerator(u, 0.0) / den
-    num, grad_n = prob.num_and_grad(
-        u, (1e-8) ** 2 * max(np.mean(prob.gradsq(u)), _TINY))
-    g = (grad_n - (num / den) * prob.den_grad(u)) / den
-    d = prob.tangent(u, g)
-    residual = float(np.linalg.norm(d) * den /
-                     max(np.linalg.norm(grad_n), _TINY))
+    num, grad_n = prob.num_and_grad(u, reg)
+    residual = _residual(prob, u, grad_n - (num / den) * prob.den_grad(u),
+                         grad_n)
     defect = prob.constraint_defect(u) if prob.constrained else 0.0
     return SpectralResult(
         lam=float(lam),
         eigenfunction=u,
         constraint_defect=float(defect),
         gradient_residual=residual,
-        iterations=used,
-        restarts=restarts,
-        converged=converged,
+        iterations=0,
+        restarts=0,
+        converged=residual <= target,
         stop_reason=reason,
         history=history,
     )
@@ -670,97 +672,88 @@ def _dirichlet_problem(mesh, p):
                     mesh.vertex_measure.copy(), fixed=mesh.boundary.copy())
 
 
-def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None,
-           include_canonical=True):
-    p = opts.p
-    if dirichlet:
-        prob = _dirichlet_problem(mesh, p)
-    else:
-        prob = weighted_problem(mesh, f, p)
-    if p == 2.0:
-        u, _ = prob.project(_p2_eigenvector(prob))
-        return _finalize(prob, u, 0, 0, True, [], "eigensolve")
-
-    starts = []
-    if u0 is not None:
-        starts.append(np.asarray(u0, dtype=float))
-    if extra_starts:
-        starts.extend(np.asarray(v, dtype=float) for v in extra_starts)
-    if include_canonical or not starts:
+def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None):
+    def problem(q):
         if dirichlet:
-            starts.append(_dirichlet_bump(mesh))
-        else:
-            starts.append(_p2_eigenvector(weighted_problem(mesh, f, 2.0)))
-    rng = np.random.default_rng(opts.seed)
-    for _ in range(opts.multistart - 1):
-        starts.append(rng.standard_normal(mesh.n_vertices))
+            return _dirichlet_problem(mesh, q)
+        return weighted_problem(mesh, f, q)
 
-    candidates = []
-    total_used = 0
-    ran = 0
+    if opts.p == 2.0:
+        prob = problem(2.0)
+        u = prob.project(_p2_eigenvector(prob))
+        return _finalize(prob, u, _regularization(prob, u, opts.delta),
+                         opts.residual_target, [], "eigensolve")
+
+    # the canonical path: from the p = 2 eigenvector in equal steps of p,
+    # each stage with its own regularization level
+    u = _p2_eigenvector(problem(2.0))
+    used = 0
+    qs = np.linspace(2.0, opts.p, _STAGES + 1)[1:]
+    for q in qs:
+        prob = problem(q)
+        u = prob.project(u)
+        reg = _regularization(prob, u, opts.delta)
+        history = []
+        u, steps, reason = _newton(prob, u, reg, opts.max_iterations - used,
+                                   opts.residual_target, history)
+        used += steps
+    candidates = [_finalize(prob, u, reg, opts.residual_target, history,
+                            reason)]
+    # supplied starts: the final stage only, at its regularization level
+    starts = ([] if u0 is None else [u0]) + list(extra_starts or [])
     for start in starts:
         try:
-            u, used, history, converged, reason = _run_one_start(
-                prob, start, opts, opts.max_iterations)
+            u = prob.project(np.asarray(start, dtype=float))
         except DegenerateFieldError:
             continue
-        ran += 1
-        total_used += used
-        candidates.append(_finalize(prob, u, total_used, ran - 1, converged,
+        history = []
+        u, steps, reason = _newton(prob, u, reg, opts.max_iterations - used,
+                                   opts.residual_target, history)
+        used += steps
+        candidates.append(_finalize(prob, u, reg, opts.residual_target,
                                     history, reason))
-    if not candidates:
-        raise DegenerateFieldError("no admissible start field")
-    # among candidates within 0.01% of the minimum, prefer a converged one
-    low = min(c.lam for c in candidates)
-    ties = [c for c in candidates if c.lam <= low * (1.0 + 1e-4)]
-    converged_ties = [c for c in ties if c.converged]
-    best = min(converged_ties or ties, key=lambda c: c.lam)
-    best.iterations = total_used
-    best.restarts = ran - 1
+    best = min([c for c in candidates if c.converged] or candidates,
+               key=lambda c: c.lam)
+    best.iterations = used
+    best.restarts = len(candidates) - 1
     return best
 
 
-def solve_closed(mesh, f, opts, u0=None, extra_starts=None,
-                 include_canonical=True):
+def solve_closed(mesh, f, opts, u0=None, extra_starts=None):
     """Minimize the weighted quotient on a closed mesh (p-mean constraint).
 
     At p = 2 this is one sparse eigensolve, the exact discrete minimizer;
-    u0, extra_starts, include_canonical and multistart are unused there.
-    Otherwise multistart projected descent, deterministic for a fixed seed:
-    a warm start u0 and extra candidate starts are tried in addition to the
-    canonical start (the p = 2 eigenvector) and seeded random starts;
-    include_canonical=False drops the canonical start when callers supply
-    problem-adapted ones.
+    u0 and extra_starts are unused there. Otherwise Newton with
+    continuation in p from the p = 2 eigenvector; a warm start u0 and the
+    extra_starts each get Newton at the target p as well, each run ending
+    at or below the quotient of its shifted start. The result is the
+    lowest eigenvalue among the runs that meet the residual target (among
+    all runs when none does).
     """
     if mesh.boundary.any():
         raise MeshError("solve_closed needs a closed mesh")
     return _solve(mesh, f, opts, dirichlet=False, u0=u0,
-                  extra_starts=extra_starts,
-                  include_canonical=include_canonical)
+                  extra_starts=extra_starts)
 
 
-def solve_neumann(mesh, f, opts, u0=None, extra_starts=None,
-                  include_canonical=True):
+def solve_neumann(mesh, f, opts, u0=None, extra_starts=None):
     """Closed-style solve on a mesh with boundary; the natural boundary
     condition holds weakly, the p-mean constraint is enforced. Starts and
     the p = 2 eigensolve as in solve_closed."""
     if not mesh.boundary.any():
         raise MeshError("solve_neumann needs a mesh with boundary")
     return _solve(mesh, f, opts, dirichlet=False, u0=u0,
-                  extra_starts=extra_starts,
-                  include_canonical=include_canonical)
+                  extra_starts=extra_starts)
 
 
-def solve_dirichlet(mesh, opts, u0=None, extra_starts=None,
-                    include_canonical=True):
+def solve_dirichlet(mesh, opts, u0=None, extra_starts=None):
     """Minimize the unweighted quotient over fields vanishing on the
-    boundary; no shift constraint. At p = 2 one sparse eigensolve on the
-    free vertices (starts unused), otherwise descent from a bump start."""
+    boundary; no shift constraint. Eigensolve and starts as in
+    solve_closed, on the free vertices."""
     if not mesh.boundary.any():
         raise MeshError("solve_dirichlet needs a mesh with boundary")
     return _solve(mesh, None, opts, dirichlet=True, u0=u0,
-                  extra_starts=extra_starts,
-                  include_canonical=include_canonical)
+                  extra_starts=extra_starts)
 
 
 # -- even reflection ----------------------------------------------------------

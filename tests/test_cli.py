@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pspectra import build_icosphere, mobius, psolve
-from pspectra.cli import main
+from pspectra.cli import _sweep_case, main
 
 
 def run(args):
@@ -131,6 +131,16 @@ class TestSweepEps:
         })
         result = run(["sweep-eps", "--config", cfg, "--out", str(outdir)])
         assert result.exit_code == 1
+
+    def test_sphere_case_reaches_low_branch(self):
+        # a field of quotient 10.55 exists; the descent from the band ramp
+        # stopped at 61.04 and reported converged
+        opts = psolve.SolveOptions(p=3.0, multistart=1, tolerance=3e-6,
+                                   residual_target=1e-3, max_iterations=4000)
+        row = _sweep_case(({"kind": "icosphere", "level": 4}, 0.5, opts,
+                           None))
+        assert row["lambda"] <= 10.6
+        assert row["converged"]
 
 
 class TestVerifyBound:

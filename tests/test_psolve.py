@@ -1,19 +1,24 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       SolveOptions, build_circle, build_icosphere,
-                      build_interval, extract_hemisphere, integrate, measure_density, mirror_index, p_shift,
+                      build_interval, extract_hemisphere, integrate,
+                      measure_density, mirror_index, normalize_unit_volume,
+                      p_shift,
                       radial_average, random_smooth_factor,
                       rayleigh_quotient, reflect_even, shooting_eigenvalue_1d,
                       smooth_band_plateau_factor, band_plateau_factor,
                       solve_closed, solve_dirichlet, solve_neumann,
                       split_band_plateau)
-from pspectra.psolve import (_dirichlet_bump, _dirichlet_problem,
-                             _run_one_start, quotient_gradient,
-                             weighted_problem)
+from pspectra.mesh import _gram_inverse
+from pspectra.psolve import (_TINY, _dirichlet_problem, _p2_eigenvector,
+                             quotient_gradient, weighted_problem)
 
 
 def ones(mesh):
@@ -531,6 +536,242 @@ class TestFactorDominationChain:
         assert res_sing.lam <= q_sing * (1.0 + 1e-9)
 
 
+# -- the projected descent, kept as a test-side reference ---------------------
+# The p != 2 solver ran this descent before Newton on the bordered system
+# replaced it; the tests compare the solvers' eigenvalues against it. It
+# reads a Jacobi diagonal (Sdiag), a constraint bundle and the gradient
+# coefficients that the solver's problem object no longer carries;
+# DescentProblem adds them.
+
+class DescentProblem:
+    """A solver problem plus what the reference descent reads from it."""
+
+    def __init__(self, prob):
+        self._prob = prob
+        self.asm = SimpleNamespace(Sdiag=_jacobi_scatter(prob.mesh))
+
+    def __getattr__(self, name):
+        return getattr(self._prob, name)
+
+    def project(self, u, c0=None):
+        """Pin/shift/renormalize a candidate onto the feasible set."""
+        if self.fixed is not None:
+            u = u.copy()
+            u[self.fixed] = 0.0
+            c = 0.0
+        elif self.constrained:
+            c = p_shift(u, self.rho, self.p, c0=c0)
+            u = u - c
+        den = self.denominator(u)
+        if den <= _TINY:
+            raise DegenerateFieldError("degenerate start field")
+        return u / den ** (1.0 / self.p), c
+
+    def num_and_grad(self, u, reg, with_coef=False):
+        num, grad = self._prob.num_and_grad(u, reg)
+        if not with_coef:
+            return num, grad
+        p = self.p
+        coef = self.nw * p * (self.gradsq(u) + reg) ** (p / 2.0 - 1.0)
+        return num, grad, coef
+
+    def den_bundle(self, u):
+        """Denominator, its gradient and the constraint normal, sharing the
+        single power evaluation."""
+        au = np.abs(u)
+        aup = au ** self.p
+        den = float(np.sum(aup * self.rho))
+        safe = np.maximum(au, 1e-14 * np.max(au) + _TINY)
+        aup1 = aup / safe
+        den_grad = self.p * np.sign(u) * aup1 * self.rho
+        normal = (aup1 / safe) * self.rho if self.constrained else None
+        return den, den_grad, normal
+
+    def tangent(self, u, grad, normal=None):
+        """Project a gradient onto the feasible directions at u."""
+        if self.fixed is not None:
+            grad = grad.copy()
+            grad[self.fixed] = 0.0
+            return grad
+        if normal is None:
+            normal = self.den_bundle(u)[2]
+        norm = np.linalg.norm(normal)
+        if norm <= _TINY:
+            return grad
+        nc = normal / norm
+        return grad - np.dot(grad, nc) * nc
+
+
+def _jacobi_scatter(mesh):
+    """Vertex x element scatter of the per-element Hessian-diagonal
+    structure of the gradient square (the Jacobi diagonal's operator)."""
+    ne, nv = mesh.n_elements, mesh.n_vertices
+    el = mesh.elements
+    if mesh.dim == 1:
+        invh = 1.0 / mesh.element_measure
+        sdiag = np.column_stack([invh * invh, invh * invh])
+    else:
+        ga, gb, gc = _gram_inverse(mesh)
+        sdiag = np.column_stack([ga + 2.0 * gb + gc, ga, gc])
+    vrows = el.ravel()
+    vcols = np.repeat(np.arange(ne), el.shape[1])
+    return csr_matrix((sdiag.ravel(), (vrows, vcols)), shape=(nv, ne))
+
+
+def _descend(prob, u, reg, max_iter, tol, res_target, history):
+    """Monotone projected descent with a Jacobi-preconditioned direction.
+
+    Each iterate takes a line-searched descent step on the regularized
+    quotient (direction: quotient gradient scaled by the diagonal of the
+    local Hessian, projected onto the feasible directions), then re-shifts
+    and renormalizes. The quotient is non-increasing across accepted steps
+    by construction. With a residual target set (final continuation stage)
+    stalling of the quotient only ends the stage once the projected
+    residual is small.
+    """
+    p = prob.p
+    u, c = prob.project(u)
+    num, grad_n, coef = prob.num_and_grad(u, reg, with_coef=True)
+    den = prob.denominator(u)
+    quotient = num / den
+    if not history:
+        history.append(quotient)
+    start_len = len(history)
+    prev_u = prev_g = None
+    step = 1.0
+    stall = 0
+    stall_window = 3 if res_target is None else 8
+    window = 40
+    res_hist = []
+    it = 0
+    rel = np.inf
+    reason = "max_iterations"
+    while True:
+        _, grad_d, normal = prob.den_bundle(u)
+        g = (grad_n - quotient * grad_d) / den
+        pg = prob.tangent(u, g, normal)
+        gn_scale = float(np.linalg.norm(grad_n))
+        residual = float(np.linalg.norm(pg)) * den / max(gn_scale, _TINY)
+        res_hist.append(residual)
+        if res_target is not None and residual <= res_target:
+            reason = "residual"
+            break
+        # a stall only counts once the residual of the iterate that would be
+        # returned is near its target or has itself plateaued (its windowed
+        # best stopped improving)
+        if res_target is None or residual <= 100.0 * res_target:
+            res_ok = True
+        elif len(res_hist) > window:
+            res_ok = min(res_hist[-window:]) > 0.5 * min(res_hist[:-window])
+        else:
+            res_ok = False
+        if rel < tol and res_ok:
+            stall += 1
+            if stall >= stall_window:
+                reason = "stalled"
+                break
+        else:
+            stall = 0
+        # windowed stall: average decrease over the last `window` accepted
+        # steps below tolerance (catches slow sub-tolerance crawls)
+        if it >= window and res_ok:
+            drop = (history[start_len + it - window - 1] - quotient)
+            if drop < window * tol * abs(quotient):
+                reason = "stalled"
+                break
+        if it >= max_iter:
+            break
+        diag_n = prob.asm.Sdiag @ coef
+        au = np.abs(u)
+        safe = np.maximum(au, 1e-14 * np.max(au) + _TINY)
+        diag_d = quotient * p * (p - 1.0) * safe ** (p - 2.0) * prob.rho
+        hess = (diag_n + diag_d) / den
+        hess = np.maximum(hess, 1e-12 * np.max(hess) + _TINY)
+        d = prob.tangent(u, g / hess, normal)
+        slope = float(np.dot(g, d))
+        if slope <= 0.0:
+            d = pg
+            slope = float(np.dot(g, d))
+            if slope <= 0.0:
+                reason = "line_search_floor"
+                break
+        # spectral (Barzilai-Borwein) step in the preconditioned metric,
+        # with doubling of the last accepted step as fallback
+        trial_step = min(2.0 * step, 16.0)
+        if prev_u is not None:
+            du = u - prev_u
+            dg = g - prev_g
+            bb_den = float(np.dot(du, dg))
+            if bb_den > 0.0:
+                bb = float(np.dot(du, hess * du)) / bb_den
+                if np.isfinite(bb) and bb > 0.0:
+                    trial_step = min(bb, 1e8)
+        accepted = False
+        for _ in range(45):
+            trial, c = prob.project(u - trial_step * d, c0=c)
+            num_t = prob.numerator(trial, reg)
+            den_t = prob.denominator(trial)
+            q_t = num_t / den_t
+            if q_t < quotient - 1e-4 * trial_step * slope:
+                accepted = True
+                break
+            trial_step *= 0.5
+        if not accepted:
+            reason = "line_search_floor"
+            break
+        step = trial_step
+        prev_u, prev_g = u, g
+        u = trial
+        rel = (quotient - q_t) / max(abs(q_t), _TINY)
+        quotient = q_t
+        den = den_t
+        history.append(quotient)
+        num, grad_n, coef = prob.num_and_grad(u, reg, with_coef=True)
+        it += 1
+    return u, it, reason
+
+
+def _delta_schedule(p, delta_final):
+    if p == 2.0:
+        return [0.0]
+    lo = max(delta_final, 1e-8)
+    stages = list(np.geomspace(1e-2, lo, 7))
+    if delta_final < 1e-8:
+        stages.append(delta_final)
+    return stages
+
+
+def _dirichlet_bump(mesh):
+    u = np.ones(mesh.n_vertices)
+    u[mesh.boundary] = 0.0
+    if mesh.kind == "interval":
+        x = mesh.vertices
+        u = (x - x[0]) * (x[-1] - x)
+    return u
+
+
+def _run_one_start(prob, u0, opts, budget):
+    u, _ = prob.project(np.asarray(u0, dtype=float))
+    gscale = float(np.mean(prob.gradsq(u)))
+    s2 = gscale if gscale > 0 else 1.0
+    history = []
+    used = 0
+    reason = "max_iterations"
+    stages = _delta_schedule(prob.p, opts.delta)
+    for k, delta in enumerate(stages):
+        final = k == len(stages) - 1
+        reg = (delta * delta) * s2
+        cap = budget - used if final else min(300, budget - used)
+        if cap <= 0:
+            break
+        tol = opts.tolerance if final else max(opts.tolerance, 1e-9)
+        res_target = opts.residual_target if final else None
+        u, it, reason = _descend(prob, u, reg, cap, tol, res_target, history)
+        used += it
+    converged = reason in ("residual", "stalled", "line_search_floor")
+    return u, used, history, converged, reason
+
+
 def _p2_case(kind, sphere3):
     """(p = 2 solve, its problem, a descent start) for one problem type."""
     opts = SolveOptions(p=2.0)
@@ -565,7 +806,8 @@ class TestP2Eigensolve:
         assert res.stop_reason == "eigensolve"
         tight = SolveOptions(p=2.0, multistart=1, tolerance=1e-14,
                              residual_target=1e-10, max_iterations=40000)
-        u, *_ = _run_one_start(prob, start, tight, tight.max_iterations)
+        u, *_ = _run_one_start(DescentProblem(prob), start, tight,
+                               tight.max_iterations)
         descent = prob.numerator(u, 0.0) / prob.denominator(u)
         v = res.eigenfunction
         lam = prob.numerator(v, 0.0) / prob.denominator(v)
@@ -578,3 +820,44 @@ class TestP2Eigensolve:
         first, second = solve(), solve()
         assert first.constraint_defect <= 1e-12
         assert np.array_equal(first.eigenfunction, second.eigenfunction)
+
+
+def _newton_case(kind, sphere2):
+    """(Newton solve, its problem, the descent's start) at p != 2."""
+    tight = dict(residual_target=1e-10, max_iterations=200)
+    if kind == "interval":
+        iv = build_interval(200, -1.0, 1.0)
+        return (solve_dirichlet(iv, SolveOptions(p=1.5, **tight)),
+                _dirichlet_problem(iv, 1.5), _dirichlet_bump(iv))
+    p = {"sphere-1.5": 1.5, "sphere-3": 3.0}[kind]
+    f = random_smooth_factor(sphere2, seed=7, amplitude=0.8)
+    return (solve_closed(sphere2, f, SolveOptions(p=p, **tight)),
+            weighted_problem(sphere2, f, p),
+            _p2_eigenvector(weighted_problem(sphere2, f, 2.0)))
+
+
+class TestNewton:
+    """The p != 2 Newton solve against the projected descent it replaced."""
+
+    @pytest.mark.parametrize("kind", ["sphere-1.5", "sphere-3", "interval"])
+    def test_not_above_tight_descent(self, sphere2, kind):
+        res, prob, start = _newton_case(kind, sphere2)
+        assert res.converged
+        tight = SolveOptions(p=prob.p, multistart=1, tolerance=1e-14,
+                             residual_target=1e-10, max_iterations=40000)
+        u, *_ = _run_one_start(DescentProblem(prob), start, tight,
+                               tight.max_iterations)
+        descent = prob.numerator(u, 0.0) / prob.denominator(u)
+        assert res.lam <= descent * (1.0 + 1e-9)
+        assert res.lam == pytest.approx(descent, rel=1e-6)
+
+    def test_converged_means_residual_met(self, sphere3):
+        # the descent stopped this input "stalled" at residual 8.8e-3 > 1e-3
+        # and still reported converged
+        f = normalize_unit_volume(sphere3, random_smooth_factor(sphere3,
+                                                                seed=1))
+        opts = SolveOptions(p=1.5, multistart=1, tolerance=1e-6,
+                            residual_target=1e-3, max_iterations=9000)
+        res = solve_closed(sphere3, f, opts)
+        assert res.converged
+        assert res.gradient_residual <= opts.residual_target
