@@ -245,7 +245,7 @@ def _power_change(x, dx, s):
     """(x + dx)^s - x^s for x, x + dx >= 0, accurate for small dx."""
     with np.errstate(divide="ignore", invalid="ignore"):
         change = x ** s * np.expm1(s * np.log1p(dx / x))
-    return np.where(x > 0.0, change, (x + dx) ** s)
+        return np.where(x > 0.0, change, (x + dx) ** s)
 
 
 # -- assembly ----------------------------------------------------------------
