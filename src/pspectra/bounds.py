@@ -91,14 +91,13 @@ class BoundReport:
         }
 
 
-def verify_bound(mesh, f, opts, source="conformal_volume", n=None, vnc=None,
-                 genus=0, orientable=True, tolerance=MESH_SLACK,
-                 extra_starts=None):
+def verify_bound(mesh, f, opts, source="conformal_volume", genus=0,
+                 orientable=True, tolerance=MESH_SLACK):
     """Solve the first eigenvalue for a unit-volume factor and compare it
     with the requested closed-form bound.
 
-    `source` is "conformal_volume" (needs n and vnc, defaulting to the
-    mesh's canonical values) or "genus_surface".
+    `source` is "conformal_volume" (with n = m and the canonical conformal
+    volume of the round mesh) or "genus_surface".
     """
     p = opts.p
     m = mesh.dim
@@ -108,18 +107,15 @@ def verify_bound(mesh, f, opts, source="conformal_volume", n=None, vnc=None,
     if not 1.0 < p <= m:
         raise ValueError("bound verification requires 1 < p <= m")
     if source == "conformal_volume":
-        if n is None:
-            n = m
-        if vnc is None:
-            vnc = canonical_conformal_volume("S2" if m == 2 else "S1")
-        bound = conformal_volume_bound(p, m, n, vnc)
-        params = {"p": p, "m": m, "n": n, "vnc": vnc}
+        vnc = canonical_conformal_volume("S2" if m == 2 else "S1")
+        bound = conformal_volume_bound(p, m, m, vnc)
+        params = {"p": p, "m": m, "n": m, "vnc": vnc}
     elif source == "genus_surface":
         bound = genus_surface_bound(p, genus, orientable)
         params = {"p": p, "genus": genus, "orientable": orientable}
     else:
         raise ValueError(f"unknown bound source {source!r}")
-    result = solve_closed(mesh, f, opts, extra_starts=extra_starts)
+    result = solve_closed(mesh, f, opts)
     lam = result.lam
     return BoundReport(
         bound_value=float(bound),

@@ -33,7 +33,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh
 from scipy.sparse import bmat, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import cKDTree
@@ -490,50 +489,57 @@ def _free_order(prob):
     return free, np.searchsorted(free, perm[~prob.fixed[perm]])
 
 
-def _factor(A, perm):
-    """Sparse LU of the symmetric A in the order perm, without pivoting."""
-    return splu(A.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+def _solver(A, perm):
+    """Solve with the symmetric sparse A, LU-factored in the order perm
+    without pivoting."""
+    lu = splu(A.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[perm] = lu.solve(b[perm])
+        return x
+    return solve
+
+
+def _bordered_solver(A, c, perm):
+    """Solve [[A, c], [c', 0]] [x; mu] = [b; 0] for x, factored in the
+    order perm with the border before its last vertex: A may be singular in
+    one direction not orthogonal to c (the constant mode of a stiffness
+    matrix, the iterate at a Newton solution), and with the border last the
+    last pivot would be the round-off of that zero."""
+    n = A.shape[0]
+    c = csr_matrix(c[:, None])
+    solve = _solver(bmat([[A, c], [c.T, None]]), np.insert(perm, n - 1, n))
+    return lambda b: solve(np.append(b, 0.0))[:n]
 
 
 def _p2_eigenvector(prob):
     """First nonzero eigenvector of the pencil (K, diag(rho)) at p = 2.
 
-    Shift-invert Lanczos with a fixed start vector: closed/Neumann problems
-    take the two eigenvalues nearest a small negative shift (the constant
-    null mode and the wanted one), Dirichlet problems the lowest eigenvalue
-    on the free vertices. K - sigma M is factored once, in nested-dissection
-    order, and its solves are the Lanczos operator.
+    Shift-invert Lanczos at shift 0 with a fixed start vector; its operator
+    solves with a system factored once in nested-dissection order. Closed
+    and Neumann problems border K by the p = 2 mean constraint rho'u = 0,
+    which removes the constant null mode; Dirichlet problems take K on the
+    free vertices.
     """
     K = prob.stiffness()
     free, perm = _free_order(prob)
+    u = np.zeros(prob.mesh.n_vertices)
     if prob.fixed is None:
-        sigma = -1e-3 * K.diagonal().sum() / prob.rho.sum()
-        k = 2
-    else:
+        solve = _bordered_solver(K, prob.rho, perm)
+    elif free.size <= 1:
         if free.size == 0:
             raise DegenerateFieldError("every vertex is pinned")
-        K = K[free][:, free]
-        sigma = 0.0
-        k = 1
-    M = diags(prob.rho[free])
-    if free.size <= k:
-        _, vecs = eigh(K.toarray(), M.toarray())
+        u[free] = 1.0
+        return u
     else:
-        lu = _factor(K - sigma * M, perm)
-
-        def solve(b):
-            x = np.empty_like(b)
-            x[perm] = lu.solve(b[perm])
-            return x
-
-        v0 = np.random.default_rng(0).standard_normal(free.size)
-        vals, vecs = eigsh(K, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                           OPinv=LinearOperator(K.shape, matvec=solve,
-                                                dtype=float))
-        vecs = vecs[:, np.argsort(vals)]
-    u = np.zeros(prob.mesh.n_vertices)
-    u[free] = vecs[:, k - 1]
+        K = K[free][:, free]
+        solve = _solver(K, perm)
+    v0 = np.random.default_rng(0).standard_normal(free.size)
+    _, vecs = eigsh(K, k=1, M=diags(prob.rho[free]), sigma=0.0, v0=v0,
+                    OPinv=LinearOperator(K.shape, matvec=solve, dtype=float))
+    u[free] = vecs[:, 0]
     return u
 
 
@@ -559,17 +565,13 @@ def _residual(prob, u, r, grad_n):
 def _newton_step(prob, u, sigma, reg, r, grad_d, free, perm):
     """The u part of the solution of the bordered system
     [[H_N - sigma H_D, -grad D], [-grad D', 0]] [du; dlam] = [-r; 0]
-    on the free vertices, factored in perm order with the border last."""
+    on the free vertices, in the order perm."""
     p = prob.p
     A = prob.hessian(u, reg) - diags(sigma * p * (p - 1.0) * prob.normal(u))
     if prob.fixed is not None:
         A = A[free][:, free]
-    b = csr_matrix(-grad_d[free][:, None])
-    lu = _factor(bmat([[A, b], [b.T, None]]), perm)
-    x = np.empty(free.size + 1)
-    x[perm] = lu.solve(np.append(-r[free], 0.0)[perm])
     du = np.zeros_like(u)
-    du[free] = x[:-1]
+    du[free] = _bordered_solver(A, -grad_d[free], perm)(-r[free])
     return du
 
 
@@ -589,7 +591,6 @@ def _newton(prob, u, reg, budget, target, history):
     why the run stopped.
     """
     free, perm = _free_order(prob)
-    perm = np.append(perm, free.size)
 
     def evaluate(v):
         num, grad_n = prob.num_and_grad(v, reg)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import LinearOperator
 
 from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       SolveOptions, build_circle, build_icosphere,
@@ -17,8 +18,10 @@ from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       solve_closed, solve_dirichlet, solve_neumann,
                       split_band_plateau)
 from pspectra.mesh import _gram_inverse
-from pspectra.psolve import (_TINY, _dirichlet_problem, _p2_eigenvector,
-                             quotient_gradient, weighted_problem)
+from pspectra import psolve
+from pspectra.psolve import (_TINY, _bordered_solver, _dirichlet_problem,
+                             _free_order, _p2_eigenvector, quotient_gradient,
+                             weighted_problem)
 
 
 def ones(mesh):
@@ -230,6 +233,14 @@ class TestSolveDirichlet:
         lam1 = solve_dirichlet(build_interval(400, -1, 1), opts).lam
         lam2 = solve_dirichlet(build_interval(400, -0.25, 0.25), opts).lam
         assert lam2 * 0.25 ** 3 == pytest.approx(lam1, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_one_free_vertex(self, p):
+        # u = (0, 1, 0): both segments have |du| = 1, the middle vertex
+        # measure 1
+        res = solve_dirichlet(build_interval(2, -1.0, 1.0), SolveOptions(p=p))
+        assert res.lam == 2.0
+        assert res.converged
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_vs_oracle(self, interval1000, p):
@@ -820,6 +831,61 @@ class TestP2Eigensolve:
         first, second = solve(), solve()
         assert first.constraint_defect <= 1e-12
         assert np.array_equal(first.eigenfunction, second.eigenfunction)
+
+
+class TestBorderedSolve:
+    """The mean-constraint border of the p = 2 eigensolve."""
+
+    @pytest.mark.parametrize("kind", ["hemisphere", "factor-1"])
+    def test_singular_stiffness(self, sphere4, sphere5, kind):
+        # K has the constant null mode; with the border eliminated last the
+        # constraint residual reads 0.38 (hemisphere) and 0.087 (factor 1)
+        if kind == "hemisphere":
+            mesh = extract_hemisphere(sphere4)
+            f = ones(mesh)
+        else:
+            mesh = sphere5
+            f = normalize_unit_volume(sphere5,
+                                      random_smooth_factor(sphere5, seed=1))
+        prob = weighted_problem(mesh, f, 2.0)
+        K, rho = prob.stiffness(), prob.rho
+        b = np.random.default_rng(0).standard_normal(mesh.n_vertices)
+        x = _bordered_solver(K, rho, _free_order(prob)[1])(b)
+        # K's rows sum to zero, so the multiplier of the border is sum b /
+        # sum rho
+        mu = b.sum() / rho.sum()
+        assert (np.linalg.norm(K @ x + mu * rho - b)
+                <= 1e-12 * np.linalg.norm(b))
+        assert abs(rho @ x) <= 1e-12 * np.linalg.norm(rho) * np.linalg.norm(x)
+
+    def test_extreme_factor_eigensolve(self, monkeypatch):
+        # criterion 07's circle at eps 0.05: at a shift of -1e-3 tr K /
+        # sum rho = -1.4e7, far from lambda_1, ARPACK needs 61285 operator
+        # solves
+        eigsh = psolve.eigsh
+        applied = [0]
+
+        def counting_eigsh(*args, OPinv, **kwargs):
+            def matvec(x):
+                applied[0] += 1
+                return OPinv.matvec(x)
+            return eigsh(*args, OPinv=LinearOperator(OPinv.shape, matvec,
+                                                     dtype=float), **kwargs)
+
+        monkeypatch.setattr(psolve, "eigsh", counting_eigsh)
+        mesh = build_circle(4000, 2.0 * np.pi)
+        prob = weighted_problem(
+            mesh, smooth_band_plateau_factor(mesh, 0.05, 3.0), 2.0)
+        u = _p2_eigenvector(prob)
+        assert applied[0] <= 100
+        K, rho = prob.stiffness(), prob.rho
+        lam = prob.numerator(u, 0.0) / prob.denominator(u)
+        assert abs(rho @ u) <= 1e-12 * np.linalg.norm(rho) * np.linalg.norm(u)
+        # normwise backward error of the eigen-equation
+        assert (np.linalg.norm(K @ u - lam * rho * u)
+                <= 1e-8 * (np.linalg.norm(abs(K) @ abs(u))
+                           + lam * np.linalg.norm(rho * u)))
+        assert lam == pytest.approx(1486.79453486858, rel=1e-12)
 
 
 def _newton_case(kind, sphere2):
