@@ -4,8 +4,7 @@ commands."""
 
 from .mesh import (DiscreteManifold, MeshError, build_circle, build_icosphere,
                    build_interval, colatitude, extract_hemisphere, integrate,
-                   load_mesh_csv, load_off, pl_gradient_sq, save_mesh_csv,
-                   save_off)
+                   load_mesh_csv, load_off, save_mesh_csv, save_off)
 from .conformal import (band_plateau_factor, cap_density,
                         energy_density_weight, load_factor_csv,
                         measure_density, normalize_unit_volume,

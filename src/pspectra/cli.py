@@ -294,7 +294,8 @@ def _sweep_case(args):
     mesh = build_mesh(mesh_spec)
     f = conformal.smooth_band_plateau_factor(mesh, eps, p)
     vol = conformal.volume(mesh, f)
-    result = psolve.solve_closed(mesh, f, opts, u0=warm)
+    result = psolve.solve_closed(
+        mesh, f, opts, extra_starts=None if warm is None else [warm])
     m = mesh.dim
     lam_unit = vol ** (p / m) * result.lam
     return {
@@ -369,22 +370,16 @@ def sweep_eps(cfg, outdir, jobs):
 
 def _bound_case(args):
     (mesh, opts, factor_seed, amplitude, source, genus, orientable,
-     slack, corrupt) = args
+     slack) = args
     if factor_seed is None:
         f = np.ones(mesh.n_vertices)
     else:
         f = conformal.random_smooth_factor(mesh, factor_seed,
                                            amplitude=amplitude)
     f = conformal.normalize_unit_volume(mesh, f)
-    report = bounds_mod.verify_bound(mesh, f, opts, source=source,
-                                     genus=genus, orientable=orientable,
-                                     tolerance=slack)
-    if corrupt:
-        bad = report.bound_value * 1e-4
-        report = bounds_mod.BoundReport(bad, report.computed_lambda,
-                                        bad - report.computed_lambda,
-                                        report.parameters, report.tolerance)
-    return report
+    return bounds_mod.verify_bound(mesh, f, opts, source=source,
+                                   genus=genus, orientable=orientable,
+                                   tolerance=slack)
 
 
 @command
@@ -393,11 +388,10 @@ def verify_bound(cfg, outdir, jobs):
     """Check solved eigenvalues against the closed-form upper bound.
 
     Config: mesh (icosphere), p (1 < p <= 2), n_factors, amplitude, seed,
-    source (conformal_volume|genus_surface), genus, orientable, slack,
-    solver, and the self-test flag self_test_corrupt_bound. One CSV row per
-    sampled unit-volume factor (columns: case, bound_value,
-    computed_lambda, slack, passed); the round factor is case 0. Nonzero
-    exit if any case fails.
+    source (conformal_volume|genus_surface), genus, orientable, slack and
+    solver. One CSV row per sampled unit-volume factor (columns: case,
+    bound_value, computed_lambda, slack, passed); the round factor is
+    case 0. Nonzero exit if any case fails.
     """
     mesh = build_mesh(_get(cfg, "mesh", dict))
     opts = solve_options(cfg, residual_target=1e-3, max_iterations=9000)
@@ -405,8 +399,7 @@ def verify_bound(cfg, outdir, jobs):
     shared = (_get(cfg, "amplitude", float, 1.0),
               _get(cfg, "source", str, "conformal_volume"),
               _get(cfg, "genus", int, 0), _get(cfg, "orientable", bool, True),
-              _get(cfg, "slack", float, bounds_mod.MESH_SLACK),
-              _get(cfg, "self_test_corrupt_bound", bool, False))
+              _get(cfg, "slack", float, bounds_mod.MESH_SLACK))
     factor_seeds = [None] + [seed + i for i in
                              range(_get(cfg, "n_factors", int, 5))]
     cases = [(mesh, opts, s) + shared for s in factor_seeds]
@@ -520,12 +513,7 @@ def balance(cfg, outdir):
     # a missed balance is flagged below, with the energy of the map it found
     bound = mobius.balanced_energy_bound(
         mesh, f, psi, opts.p, tol=max(tol, result.moment_norm))
-    rho = density * mesh.vertex_measure
-    starts = []
-    for i in range(psi.shape[1]):
-        shift = psolve.p_shift(psi[:, i], rho, opts.p)
-        starts.append(psi[:, i] - shift)
-    solved = psolve.solve_closed(mesh, f, opts, extra_starts=starts)
+    solved = psolve.solve_closed(mesh, f, opts, extra_starts=list(psi.T))
     payload = {
         **result.to_json(),
         "p": opts.p,

@@ -23,7 +23,6 @@ __all__ = [
     "extract_hemisphere",
     "colatitude",
     "integrate",
-    "pl_gradient_sq",
     "save_off",
     "load_off",
     "save_mesh_csv",
@@ -420,36 +419,16 @@ def integrate(mesh, density):
     return float(mesh.element_measure @ density[mesh.elements].mean(axis=1))
 
 
-def pl_gradient_sq(mesh, u):
-    """Squared norm of the piecewise-linear gradient of u, per element.
-
-    1-D elements use the difference quotient; triangles the standard linear
-    gradient in the element's own plane (tangent-plane norm).
-    """
-    u = check_field(mesh, u)
-    ue = u[mesh.elements]
-    if mesh.dim == 1:
-        return ((ue[:, 1] - ue[:, 0]) / mesh.element_measure) ** 2
-    ga, gb, gc = _gram_inverse(mesh)
-    d1 = ue[:, 1] - ue[:, 0]
-    d2 = ue[:, 2] - ue[:, 0]
-    return ga * d1 * d1 + 2.0 * gb * d1 * d2 + gc * d2 * d2
-
-
 def _gram_inverse(mesh):
     """Inverse Gram matrix entries (a, b, c) of each triangle's edge basis."""
-    cache = getattr(mesh, "_gram_cache", None)
-    if cache is None:
-        p = mesh.vertices[mesh.elements]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        g11 = np.einsum("ij,ij->i", e1, e1)
-        g12 = np.einsum("ij,ij->i", e1, e2)
-        g22 = np.einsum("ij,ij->i", e2, e2)
-        det = g11 * g22 - g12 * g12
-        cache = (g22 / det, -g12 / det, g11 / det)
-        mesh._gram_cache = cache
-    return cache
+    p = mesh.vertices[mesh.elements]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    g11 = np.einsum("ij,ij->i", e1, e1)
+    g12 = np.einsum("ij,ij->i", e1, e2)
+    g22 = np.einsum("ij,ij->i", e2, e2)
+    det = g11 * g22 - g12 * g12
+    return g22 / det, -g12 / det, g11 / det
 
 
 # -- serialization ---------------------------------------------------------

@@ -33,13 +33,14 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 from scipy.sparse import bmat, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import cKDTree
 
 from .conformal import (check_conformal_factor, energy_density_weight,
                         measure_density)
-from .mesh import MeshError, check_field
+from .mesh import MeshError, _gram_inverse, check_field
 
 __all__ = [
     "DegenerateFieldError",
@@ -271,7 +272,6 @@ class _Assembly:
                                  shape=(ne, nv))
             self.E2 = csr_matrix((d1, (rows, el[:, [0, 2]].ravel())),
                                  shape=(ne, nv))
-            from .mesh import _gram_inverse
             self.ga, self.gb, self.gc = _gram_inverse(mesh)
         self.E1T = self.E1.T.tocsr()
         self.E2T = None if self.E2 is None else self.E2.T.tocsr()
@@ -673,7 +673,7 @@ def _dirichlet_problem(mesh, p):
                     mesh.vertex_measure.copy(), fixed=mesh.boundary.copy())
 
 
-def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None):
+def _solve(mesh, f, opts, *, dirichlet, extra_starts=None):
     def problem(q):
         if dirichlet:
             return _dirichlet_problem(mesh, q)
@@ -701,8 +701,7 @@ def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None):
     candidates = [_finalize(prob, u, reg, opts.residual_target, history,
                             reason)]
     # supplied starts: the final stage only, at its regularization level
-    starts = ([] if u0 is None else [u0]) + list(extra_starts or [])
-    for start in starts:
+    for start in extra_starts or []:
         try:
             u = prob.project(np.asarray(start, dtype=float))
         except DegenerateFieldError:
@@ -720,41 +719,38 @@ def _solve(mesh, f, opts, *, dirichlet, u0=None, extra_starts=None):
     return best
 
 
-def solve_closed(mesh, f, opts, u0=None, extra_starts=None):
+def solve_closed(mesh, f, opts, extra_starts=None):
     """Minimize the weighted quotient on a closed mesh (p-mean constraint).
 
     At p = 2 this is one sparse eigensolve, the exact discrete minimizer;
-    u0 and extra_starts are unused there. Otherwise Newton with
-    continuation in p from the p = 2 eigenvector; a warm start u0 and the
-    extra_starts each get Newton at the target p as well, each run ending
-    at or below the quotient of its shifted start. The result is the
-    lowest eigenvalue among the runs that meet the residual target (among
-    all runs when none does).
+    extra_starts are unused there. Otherwise Newton with continuation in p
+    from the p = 2 eigenvector; each of the extra_starts (warm starts
+    included), shifted to the p-mean constraint, gets Newton at the target
+    p as well, each run ending at or below the quotient of its shifted
+    start. The result is the lowest eigenvalue among the runs that meet
+    the residual target (among all runs when none does).
     """
     if mesh.boundary.any():
         raise MeshError("solve_closed needs a closed mesh")
-    return _solve(mesh, f, opts, dirichlet=False, u0=u0,
-                  extra_starts=extra_starts)
+    return _solve(mesh, f, opts, dirichlet=False, extra_starts=extra_starts)
 
 
-def solve_neumann(mesh, f, opts, u0=None, extra_starts=None):
+def solve_neumann(mesh, f, opts, extra_starts=None):
     """Closed-style solve on a mesh with boundary; the natural boundary
     condition holds weakly, the p-mean constraint is enforced. Starts and
     the p = 2 eigensolve as in solve_closed."""
     if not mesh.boundary.any():
         raise MeshError("solve_neumann needs a mesh with boundary")
-    return _solve(mesh, f, opts, dirichlet=False, u0=u0,
-                  extra_starts=extra_starts)
+    return _solve(mesh, f, opts, dirichlet=False, extra_starts=extra_starts)
 
 
-def solve_dirichlet(mesh, opts, u0=None, extra_starts=None):
+def solve_dirichlet(mesh, opts, extra_starts=None):
     """Minimize the unweighted quotient over fields vanishing on the
     boundary; no shift constraint. Eigensolve and starts as in
     solve_closed, on the free vertices."""
     if not mesh.boundary.any():
         raise MeshError("solve_dirichlet needs a mesh with boundary")
-    return _solve(mesh, None, opts, dirichlet=True, u0=u0,
-                  extra_starts=extra_starts)
+    return _solve(mesh, None, opts, dirichlet=True, extra_starts=extra_starts)
 
 
 # -- even reflection ----------------------------------------------------------
@@ -911,11 +907,20 @@ def _p_sine_half_period(p):
 def shooting_eigenvalue_1d(p, mode, halfwidth, tol=1e-10):
     """First 1-D eigenvalue on (-halfwidth, halfwidth) by shooting.
 
-    Dirichlet: integrate from the left boundary with u = 0, u' = 1 and
-    bisect the eigenvalue on the sign of u at the right boundary (no parity
-    assumed). Neumann: the first eigenfunction is odd, integrate from the
-    center with u = 0, u' = 1 and bisect on the sign of the flux at the
-    boundary. The boundary residual is driven below `tol`.
+    Dirichlet: integrate from the left boundary with u = 0, u' = 1; the
+    eigenvalue is a root of u at the right boundary (no parity assumed).
+    Neumann: the first eigenfunction is odd, integrate from the center with
+    u = 0, u' = 1; the eigenvalue is a root of the flux at the boundary.
+
+    One Brent root solve (Brent, Algorithms for Minimization without
+    Derivatives, 1973) runs in [g/2, 2g], g = (p-1)(pi_p/2h)^p the exact
+    p-sine value (Drabek & Manasevich, Differential Integral Equations 12,
+    1999). The next eigenvalue is 2^p g (Dirichlet) or 3^p g (the odd
+    Neumann mode), above 2g for every p > 1, so the first eigenvalue is the
+    only sign change of the endpoint value in that bracket. A bracket with
+    no sign change, a root solve that does not converge or a boundary
+    residual above `tol` (relative to the largest |u|, |u'|) raises
+    ConvergenceError.
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -944,30 +949,14 @@ def shooting_eigenvalue_1d(p, mode, halfwidth, tol=1e-10):
         return endpoint, scale
 
     guess = _p_sine_half_period(p) / halfwidth ** p
-    lo = 0.5 * guess
-    for _ in range(80):
-        val, _ = integrate_to_end(lo)
-        if val > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise ConvergenceError("no lower bracket for the shooting eigenvalue")
-    hi = 2.0 * lo
-    for _ in range(80):
-        val, _ = integrate_to_end(hi)
-        if val < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("no upper bracket for the shooting eigenvalue")
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        val, _ = integrate_to_end(mid)
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    try:
+        lam, info = brentq(lambda lam: integrate_to_end(lam)[0], 0.5 * guess,
+                           2.0 * guess, xtol=_TINY, rtol=1e-14,
+                           full_output=True, disp=False)
+    except ValueError as exc:  # brentq: no sign change in the bracket
+        raise ConvergenceError(f"shooting root solve failed: {exc}") from exc
+    if not info.converged:
+        raise ConvergenceError(f"shooting root solve failed: {info.flag}")
     val, scale = integrate_to_end(lam)
     if abs(val) / scale > tol:
         raise ConvergenceError("boundary residual above tolerance")

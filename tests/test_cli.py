@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pspectra import build_icosphere, mobius, psolve
+from pspectra import bounds, build_icosphere, mobius, psolve
 from pspectra.cli import _sweep_case, main
 
 
@@ -157,10 +157,13 @@ class TestVerifyBound:
         payload = json.loads((outdir / "results.json").read_text())
         assert payload["all_passed"]
 
-    def test_corrupted_bound_self_test(self, tmp_path, outdir):
+    def test_corrupted_bound_self_test(self, tmp_path, outdir, monkeypatch):
+        bound = bounds.conformal_volume_bound
+        monkeypatch.setattr(bounds, "conformal_volume_bound",
+                            lambda *args: bound(*args) * 1e-4)
         cfg = write_config(tmp_path / "vb.json", {
             "mesh": {"kind": "icosphere", "level": 3}, "p": 2.0,
-            "n_factors": 1, "seed": 0, "self_test_corrupt_bound": True,
+            "n_factors": 1, "seed": 0,
         })
         result = run(["verify-bound", "--config", cfg, "--out", str(outdir)])
         assert result.exit_code == 2

@@ -3,9 +3,14 @@ import pytest
 
 from pspectra import (MeshError, build_circle, build_icosphere,
                       build_interval, colatitude, extract_hemisphere,
-                      integrate, load_mesh_csv, load_off, pl_gradient_sq,
-                      save_mesh_csv, save_off)
+                      integrate, load_mesh_csv, load_off, save_mesh_csv,
+                      save_off, weighted_problem)
 from pspectra import mesh as mesh_mod
+
+
+def gradsq(mesh, u):
+    """Per-element squared gradient of u on the unweighted p = 2 problem."""
+    return weighted_problem(mesh, np.ones(mesh.n_vertices), 2.0).gradsq(u)
 
 
 class TestInterval:
@@ -217,18 +222,18 @@ class TestFieldOps:
             integrate(sphere3, np.ones(7))
 
     def test_gradient_constant(self, sphere3):
-        g = pl_gradient_sq(sphere3, np.full(sphere3.n_vertices, 4.2))
+        g = gradsq(sphere3, np.full(sphere3.n_vertices, 4.2))
         assert np.all(g == 0.0)
 
     def test_gradient_unit_slope_1d(self):
         m = build_interval(10, 0.0, 1.0)
-        assert np.allclose(pl_gradient_sq(m, m.vertices.copy()), 1.0)
+        assert np.allclose(gradsq(m, m.vertices.copy()), 1.0)
 
     def test_gradient_shift_invariant(self, sphere3):
         rng = np.random.default_rng(1)
         u = rng.standard_normal(sphere3.n_vertices)
-        g1 = pl_gradient_sq(sphere3, u)
-        g2 = pl_gradient_sq(sphere3, u + 11.0)
+        g1 = gradsq(sphere3, u)
+        g2 = gradsq(sphere3, u + 11.0)
         # exact up to the roundoff of shifting the vertex values
         assert np.allclose(g1, g2, rtol=0.0, atol=1e-11 * g1.max())
 
@@ -237,7 +242,7 @@ class TestFieldOps:
         # closed forms: 8pi/3 and 4pi/3
         z = sphere5.vertices[:, 2].copy()
         energy = float(np.sum(sphere5.element_measure
-                              * pl_gradient_sq(sphere5, z)))
+                              * gradsq(sphere5, z)))
         mass = integrate(sphere5, z * z)
         assert mass == pytest.approx(4.0 * np.pi / 3.0, rel=0.01)
         assert energy == pytest.approx(2.0 * mass, rel=0.01)

@@ -461,6 +461,46 @@ class TestShootingOracle:
             lam = shooting_eigenvalue_1d(p, "dirichlet", hw)
             assert lam * hw ** p == pytest.approx(base, rel=1e-8)
 
+    # Dirichlet over p and halfwidth (the eps of criterion 02 and of the
+    # dirichlet-scaling bench included) and three Neumann inputs
+    @pytest.mark.parametrize("mode,p,halfwidth", [
+        ("dirichlet", p, h) for p in (1.2, 1.5, 2.0, 3.0, 5.0)
+        for h in (1.0, 0.5, 0.25, 0.125, 0.1)] + [
+        ("neumann", 2.0, 0.5), ("neumann", 1.5, 1.0), ("neumann", 3.0, 1.0)])
+    def test_integrations_per_call(self, monkeypatch, mode, p, halfwidth):
+        # Brent's method takes 9-16; a bisection to 1e-14 takes about 50
+        solve_ivp = psolve.solve_ivp
+        calls = [0]
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls[0] += 1
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(psolve, "solve_ivp", counting_solve_ivp)
+        shooting_eigenvalue_1d(p, mode, halfwidth)
+        assert calls[0] <= 20
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 5.0])
+    def test_p_sine_closed_form(self, mode, p):
+        # (p-1)(pi_p/2h)^p, pi_p = 2 pi / (p sin(pi/p)), in both modes:
+        # the odd Neumann mode on (-h, h) is a quarter period on (0, h)
+        pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
+        for h in (1.0, 0.25):
+            exact = (p - 1.0) * (pi_p / (2.0 * h)) ** p
+            lam = shooting_eigenvalue_1d(p, mode, h)
+            assert lam == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("mode,p", [("dirichlet", 3.0), ("neumann", 2.0)])
+    def test_bracket_without_sign_change(self, monkeypatch, mode, p):
+        # a 3x guess puts the bracket at [1.5, 6] lambda_1, between the
+        # first eigenvalue and the next (8 lambda_1 and 9 lambda_1 here)
+        half_period = psolve._p_sine_half_period
+        monkeypatch.setattr(psolve, "_p_sine_half_period",
+                            lambda q: 3.0 * half_period(q))
+        with pytest.raises(psolve.ConvergenceError):
+            shooting_eigenvalue_1d(p, mode, 1.0)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             shooting_eigenvalue_1d(1.0, "dirichlet", 1.0)
