@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.sparse import bmat, csr_matrix, diags
+from scipy.sparse import csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.spatial import cKDTree
 
@@ -251,7 +251,8 @@ def _power_change(x, dx, s):
 # -- assembly ----------------------------------------------------------------
 
 class _Assembly:
-    """Sparse difference operators for vectorized energy and gradient."""
+    """Sparse difference operators for vectorized energy and gradient, and
+    the mesh's system layouts."""
 
     def __init__(self, mesh):
         ne, nv = mesh.n_elements, mesh.n_vertices
@@ -259,12 +260,13 @@ class _Assembly:
         rows = np.repeat(np.arange(ne), 2)
         if mesh.dim == 1:
             invh = 1.0 / mesh.element_measure
-            data = np.column_stack([-invh, invh]).ravel()
+            data = np.column_stack([-invh, invh])
             cols = el.ravel()
-            self.E1 = csr_matrix((data, (rows, cols)), shape=(ne, nv))
+            self.E1 = csr_matrix((data.ravel(), (rows, cols)), shape=(ne, nv))
             self.E2 = None
             self.ga = np.ones(ne)
             self.gb = self.gc = None
+            self.local = [data]
         else:
             ones = np.ones(ne)
             d1 = np.column_stack([-ones, ones]).ravel()
@@ -273,9 +275,15 @@ class _Assembly:
             self.E2 = csr_matrix((d1, (rows, el[:, [0, 2]].ravel())),
                                  shape=(ne, nv))
             self.ga, self.gb, self.gc = _gram_inverse(mesh)
+            self.local = [np.array([-1.0, 1.0, 0.0]),
+                          np.array([-1.0, 0.0, 1.0])]
+        # local[a][..., i]: the coefficient of the element's vertex i in its
+        # edge difference a (row a of [E1; E2])
+        self.elements = el
         self.E1T = self.E1.T.tocsr()
         self.E2T = None if self.E2 is None else self.E2.T.tocsr()
         self.coords = mesh.vertices.reshape(nv, -1)
+        self._layouts = {}
 
     @cached_property
     def dissection_order(self):
@@ -285,6 +293,113 @@ class _Assembly:
         stencil = abs(self.E1) if self.E2 is None else abs(self.E1) + abs(
             self.E2)
         return _dissection_order(self.coords, stencil.T @ stencil)
+
+    def layout(self, fixed, bordered):
+        """The cached _Layout of the systems on the vertices not fixed."""
+        key = (bordered, None if fixed is None else fixed.tobytes())
+        if key not in self._layouts:
+            self._layouts[key] = _Layout(self, fixed, bordered)
+        return self._layouts[key]
+
+
+class _Layout:
+    """One kind of linear system on a mesh, laid out for its factorization.
+
+    The system is the sum over elements of [E1; E2]' [[h11, h12], [h12,
+    h22]] [E1; E2] (h11 alone in 1-D) plus diag(shift), on the free
+    vertices, and if bordered, bordered by a column c with a zero corner.
+    Its unknowns are the free vertices in the mesh's dissection order, the
+    border placed before the last of them: a matrix singular in one
+    direction not orthogonal to c (the constant mode of a stiffness matrix,
+    the iterate at a Newton solution) would leave the round-off of that
+    zero as the last pivot with the border last. The CSC pattern is fixed
+    in that order, and the sparse map `scatter` takes the stacked
+    [h11, h12, h22, shift, c] (per element, per vertex) to its data, so
+    assembling a system is one product.
+    """
+
+    def __init__(self, asm, fixed, bordered):
+        nv = asm.coords.shape[0]
+        order = asm.dissection_order
+        free = np.arange(nv)
+        if fixed is not None:
+            free, order = np.flatnonzero(~fixed), order[~fixed[order]]
+        nf = free.size
+        n = nf + bordered
+        at = np.full(nv, -1)  # the system index of each vertex, -1 if fixed
+        at[order] = np.arange(nf)
+        if bordered:
+            at[order[-1]] = nf
+        self.free, self.pos, self.n = free, at[free], n
+        self.bordered = bordered
+        # the pattern: the key c * n + r of every entry (r, c) of the
+        # element matrices (n * n where a vertex is fixed), the diagonal
+        # and the border
+        el, loc = asm.elements, asm.local
+        ne, k = el.shape
+        pairs = [(i, j) for i in range(k) for j in range(k)]
+        entries = [(at[el[:, i]], at[el[:, j]]) for i, j in pairs]
+        entries.append((self.pos, self.pos))
+        if bordered:
+            edge = np.full(nf, nf - 1)
+            entries += [(self.pos, edge), (edge, self.pos)]
+        pattern, slots = np.unique(np.concatenate(
+            [np.where((r >= 0) & (c >= 0), c * n + r, n * n)
+             for r, c in entries]), return_inverse=True)
+        slots = slots.astype(np.int32)
+        npat = np.count_nonzero(pattern < n * n)  # slot npat: off the system
+        self.indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(
+            np.int32)
+        self.indices = (pattern[:npat] % n).astype(np.int32)
+        # the scatter, by columns: the slots each source value (an element's
+        # h11, h12, h22, a vertex's shift, border) lands on, with their
+        # coefficients (from rows a and b of [E1; E2] for block (a, b))
+        element_slots = slots[:len(pairs) * ne].reshape(len(pairs), ne)
+        sources = []
+        for a, b in [(0, 0)] if len(loc) == 1 else [(0, 0), (0, 1), (1, 1)]:
+            use, coef = [], []
+            for m, (i, j) in enumerate(pairs):
+                w = loc[a][..., i] * loc[b][..., j]
+                if a != b:
+                    w = w + loc[b][..., i] * loc[a][..., j]
+                if np.any(w != 0.0):
+                    use.append(element_slots[m])
+                    coef.append(np.broadcast_to(w, (ne,)))
+            sources.append((np.stack(use, axis=1), np.stack(coef, axis=1)))
+        rest = slots[len(pairs) * ne:].reshape(-1, nf)  # diagonal, border
+        for group in [rest[:1], rest[1:]] if bordered else [rest]:
+            idx = np.full((nv, group.shape[0]), npat, dtype=np.int32)
+            idx[free] = group.T
+            sources.append((idx, np.ones(idx.shape)))
+        keep = [idx < npat for idx, _ in sources]
+        counts = np.concatenate([kp.sum(axis=1) for kp in keep])
+        self.scatter = csc_matrix(
+            (np.concatenate([w[kp] for (_, w), kp in zip(sources, keep)]),
+             np.concatenate([idx[kp] for (idx, _), kp in zip(sources, keep)]),
+             np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
+            shape=(npat, counts.size))
+
+    def matrix(self, blocks, shift, border=None):
+        """The system of the per-element blocks, the per-vertex diagonal
+        shift and, for a bordered layout, the per-vertex border; CSC in the
+        layout's order."""
+        parts = [*blocks, shift] + ([border] if self.bordered else [])
+        return csc_matrix((self.scatter @ np.concatenate(parts),
+                           self.indices, self.indptr), shape=(self.n, self.n))
+
+    def solver(self, blocks, shift, border=None):
+        """Solve with that system on the free vertices, LU-factored in the
+        layout's order without pivoting (x = solve(b), both indexed like
+        `free`, the border equation's right-hand side zero). Raises splu's
+        RuntimeError when a pivot is exactly zero."""
+        lu = splu(self.matrix(blocks, shift, border), permc_spec="NATURAL",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+        def solve(b):
+            y = np.zeros(self.n)
+            y[self.pos] = b
+            return lu.solve(y)[self.pos]
+        return solve
 
 
 def _assembly(mesh):
@@ -322,42 +437,35 @@ class _Problem:
         """Squared gradient of the piecewise-linear field u, per element."""
         return self._gradsq(*self._diffs(u))
 
-    def _assemble(self, h11, h12, h22):
-        """Sparse sum over elements of the per-element 2x2 blocks
-        [[h11, h12], [h12, h22]] acting on the edge differences (h11 alone
-        in 1-D)."""
-        a = self.asm
-        K = a.E1T @ diags(h11) @ a.E1
-        if a.E2 is not None:
-            cross = a.E1T @ diags(h12) @ a.E2
-            K = K + cross + cross.T + a.E2T @ diags(h22) @ a.E2
-        # a compact copy: sparse sums keep views into over-allocated buffers
-        return K.tocsr(copy=True)
+    def layout(self, bordered):
+        """The mesh's _Layout on this problem's free vertices."""
+        return self.asm.layout(self.fixed, bordered)
 
-    def stiffness(self):
-        """Sparse K with numerator(u, 0) == u @ K @ u when p = 2."""
+    def stiffness_blocks(self):
+        """Per-element blocks of the stiffness matrix K, numerator(u, 0) ==
+        u @ K @ u when p = 2 (see _Layout)."""
         a = self.asm
         if a.E2 is None:
-            return self._assemble(self.nw * a.ga, None, None)
-        return self._assemble(self.nw * a.ga, self.nw * a.gb,
-                              self.nw * a.gc)
+            return [self.nw * a.ga]
+        return [self.nw * a.ga, self.nw * a.gb, self.nw * a.gc]
 
-    def hessian(self, u, reg):
-        """Sparse Hessian of numerator(u, reg): per element
-        coef * G + nw p (p - 2) (g + reg)^(p/2 - 2) (G d)(G d)', with d the
-        edge differences, G the inverse Gram matrix and g = d'Gd."""
+    def hessian_blocks(self, u, reg):
+        """Per-element blocks of the Hessian of numerator(u, reg) (see
+        _Layout): coef * G + nw p (p - 2) (g + reg)^(p/2 - 2) (G d)(G d)',
+        with d the edge differences, G the inverse Gram matrix and
+        g = d'Gd."""
         p, a = self.p, self.asm
         d1, d2 = self._diffs(u)
         g = self._gradsq(d1, d2) + reg
         coef = self.nw * p * g ** (p / 2.0 - 1.0)
         rank = self.nw * p * (p - 2.0) * g ** (p / 2.0 - 2.0)
         if d2 is None:
-            return self._assemble(coef + rank * d1 * d1, None, None)
+            return [coef + rank * d1 * d1]
         gd1 = a.ga * d1 + a.gb * d2
         gd2 = a.gb * d1 + a.gc * d2
-        return self._assemble(coef * a.ga + rank * gd1 * gd1,
-                              coef * a.gb + rank * gd1 * gd2,
-                              coef * a.gc + rank * gd2 * gd2)
+        return [coef * a.ga + rank * gd1 * gd1,
+                coef * a.gb + rank * gd1 * gd2,
+                coef * a.gc + rank * gd2 * gd2]
 
     def numerator(self, u, reg):
         g = self.gradsq(u)
@@ -479,41 +587,6 @@ def _dissection_order(coords, pattern, leaf=32):
     return np.concatenate(order)
 
 
-def _free_order(prob):
-    """The free vertices and the mesh's dissection order restricted to
-    them, in their numbering."""
-    perm = prob.asm.dissection_order
-    if prob.fixed is None:
-        return np.arange(prob.mesh.n_vertices), perm
-    free = np.flatnonzero(~prob.fixed)
-    return free, np.searchsorted(free, perm[~prob.fixed[perm]])
-
-
-def _solver(A, perm):
-    """Solve with the symmetric sparse A, LU-factored in the order perm
-    without pivoting."""
-    lu = splu(A.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
-              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
-        return x
-    return solve
-
-
-def _bordered_solver(A, c, perm):
-    """Solve [[A, c], [c', 0]] [x; mu] = [b; 0] for x, factored in the
-    order perm with the border before its last vertex: A may be singular in
-    one direction not orthogonal to c (the constant mode of a stiffness
-    matrix, the iterate at a Newton solution), and with the border last the
-    last pivot would be the round-off of that zero."""
-    n = A.shape[0]
-    c = csr_matrix(c[:, None])
-    solve = _solver(bmat([[A, c], [c.T, None]]), np.insert(perm, n - 1, n))
-    return lambda b: solve(np.append(b, 0.0))[:n]
-
-
 def _p2_eigenvector(prob):
     """First nonzero eigenvector of the pencil (K, diag(rho)) at p = 2.
 
@@ -521,31 +594,39 @@ def _p2_eigenvector(prob):
     solves with a system factored once in nested-dissection order. Closed
     and Neumann problems border K by the p = 2 mean constraint rho'u = 0,
     which removes the constant null mode; Dirichlet problems take K on the
-    free vertices.
+    free vertices. A singular factorization raises ConvergenceError.
     """
-    K = prob.stiffness()
-    free, perm = _free_order(prob)
+    closed = prob.fixed is None
+    layout = prob.layout(bordered=closed)
+    free = layout.free
     u = np.zeros(prob.mesh.n_vertices)
-    if prob.fixed is None:
-        solve = _bordered_solver(K, prob.rho, perm)
-    elif free.size <= 1:
+    if free.size <= 1:
         if free.size == 0:
             raise DegenerateFieldError("every vertex is pinned")
         u[free] = 1.0
         return u
-    else:
-        K = K[free][:, free]
-        solve = _solver(K, perm)
+    try:
+        solve = layout.solver(prob.stiffness_blocks(), np.zeros_like(u),
+                              prob.rho if closed else None)
+    except RuntimeError as exc:  # splu: a zero pivot
+        raise ConvergenceError(f"p = 2 eigensolve failed: {exc}") from exc
+    # in shift-invert mode eigsh reads only the shape of its matrix argument
+    op = LinearOperator((free.size, free.size), matvec=solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(free.size)
-    _, vecs = eigsh(K, k=1, M=diags(prob.rho[free]), sigma=0.0, v0=v0,
-                    OPinv=LinearOperator(K.shape, matvec=solve, dtype=float))
+    _, vecs = eigsh(op, k=1, M=diags(prob.rho[free]), sigma=0.0, v0=v0,
+                    OPinv=op)
     u[free] = vecs[:, 0]
     return u
 
 
 _STAGES = 4             # equal steps of p from 2 to the target
 _MIN_STEP = 2.0 ** -10  # Newton steps are halved down to this fraction
-_MAX_DAMPING = 1e3      # relative shift of lam beyond which a run stops
+# relative shifts mu of lam (sigma = lam (1 - mu)) tried in turn while
+# Newton steps fail to descend; a run stops beyond the last. mu = 1 is left
+# out: at sigma = 0 the bordered system of a closed or Neumann problem has
+# [1; 0] in its kernel (constants are in that of H_N, and grad D is
+# orthogonal to them at vanishing p-mean); 1/2 and 2 stand in for it
+_DAMPING = (0.0, 1e-3, 1e-2, 1e-1, 0.5, 2.0, 1e1, 1e2, 1e3)
 
 
 def _regularization(prob, u, delta):
@@ -562,16 +643,20 @@ def _residual(prob, u, r, grad_n):
                  max(np.linalg.norm(grad_n), _TINY))
 
 
-def _newton_step(prob, u, sigma, reg, r, grad_d, free, perm):
+def _newton_step(prob, u, sigma, reg, r, grad_d, layout):
     """The u part of the solution of the bordered system
     [[H_N - sigma H_D, -grad D], [-grad D', 0]] [du; dlam] = [-r; 0]
-    on the free vertices, in the order perm."""
+    on the free vertices, or None when its factorization meets a zero
+    pivot."""
     p = prob.p
-    A = prob.hessian(u, reg) - diags(sigma * p * (p - 1.0) * prob.normal(u))
-    if prob.fixed is not None:
-        A = A[free][:, free]
+    try:
+        solve = layout.solver(prob.hessian_blocks(u, reg),
+                              -sigma * p * (p - 1.0) * prob.normal(u),
+                              -grad_d)
+    except RuntimeError:  # splu: a zero pivot
+        return None
     du = np.zeros_like(u)
-    du[free] = _bordered_solver(A, -grad_d[free], perm)(-r[free])
+    du[layout.free] = solve(-r[layout.free])
     return du
 
 
@@ -585,12 +670,13 @@ def _newton(prob, u, reg, budget, target, history):
     R decreases sufficiently; when no fraction does, or the step is no
     descent direction (near a saddle of R), the system is solved again with
     lam shifted down by a growing multiple of itself, which turns the step
-    towards a preconditioned gradient step. R of the start and of every
-    accepted iterate are appended to history, which is therefore
+    towards a preconditioned gradient step (_DAMPING); a system with a zero
+    pivot counts as such a step. R of the start and of every accepted
+    iterate are appended to history, which is therefore
     nonincreasing. Returns the iterate, the number of systems solved and
     why the run stopped.
     """
-    free, perm = _free_order(prob)
+    layout = prob.layout(bordered=True)
 
     def evaluate(v):
         num, grad_n = prob.num_and_grad(v, reg)
@@ -599,7 +685,7 @@ def _newton(prob, u, reg, budget, target, history):
     ev = evaluate(u)
     history.append(ev[0] / ev[2])
     steps = 0
-    damping = 0.0
+    level = 0
     while True:
         num, grad_n, den, grad_d = ev
         q = num / den
@@ -610,10 +696,10 @@ def _newton(prob, u, reg, budget, target, history):
         if steps >= budget:
             reason = "max_iterations"
             break
-        du = _newton_step(prob, u, q * (1.0 - damping), reg, r, grad_d,
-                          free, perm)
+        du = _newton_step(prob, u, q * (1.0 - _DAMPING[level]), reg, r,
+                          grad_d, layout)
         steps += 1
-        slope = float(np.dot(r, du)) / den
+        slope = 0.0 if du is None else float(np.dot(r, du)) / den
         t = 1.0
         while slope < 0.0 and t >= _MIN_STEP:
             trial = prob.project(u + t * du, c0=0.0)
@@ -622,12 +708,12 @@ def _newton(prob, u, reg, budget, target, history):
                 break
             t *= 0.5
         else:
-            damping = 10.0 * damping if damping else 1e-3
-            if damping > _MAX_DAMPING:
+            level += 1
+            if level == len(_DAMPING):
                 reason = "line_search_floor"
                 break
             continue
-        damping = damping / 10.0 if damping > 1e-3 else 0.0
+        level = max(level - 1, 0)
         u, ev = trial, evaluate(trial)
         history.append(history[-1] + change)
     return u, steps, reason
@@ -918,9 +1004,11 @@ def shooting_eigenvalue_1d(p, mode, halfwidth, tol=1e-10):
     1999). The next eigenvalue is 2^p g (Dirichlet) or 3^p g (the odd
     Neumann mode), above 2g for every p > 1, so the first eigenvalue is the
     only sign change of the endpoint value in that bracket. A bracket with
-    no sign change, a root solve that does not converge or a boundary
-    residual above `tol` (relative to the largest |u|, |u'|) raises
-    ConvergenceError.
+    no sign change, a root solve that does not converge, a boundary
+    residual above `tol` (relative to the largest |u|, |u'|) or a sign
+    change of u inside (a root that is not the first eigenvalue) raises
+    ConvergenceError. The root's own integration, one of brentq's, gives
+    these checks.
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -929,36 +1017,40 @@ def shooting_eigenvalue_1d(p, mode, halfwidth, tol=1e-10):
     if halfwidth <= 0:
         raise ValueError("halfwidth must be positive")
     q = 1.0 / (p - 1.0)
+    end = 0 if mode == "dirichlet" else 1
+    runs = {}  # every integration brentq asked for, by lam
 
-    def integrate_to_end(lam):
+    def endpoint(lam):
         def rhs(_, y):
             u, v = y
             return (math.copysign(abs(v) ** q, v),
                     -lam * math.copysign(abs(u) ** (p - 1.0), u))
-        if mode == "dirichlet":
-            t0, t1 = -halfwidth, halfwidth
-        else:
-            t0, t1 = 0.0, halfwidth
-        sol = solve_ivp(rhs, (t0, t1), (0.0, 1.0), method="DOP853",
+        t0 = -halfwidth if mode == "dirichlet" else 0.0
+        sol = solve_ivp(rhs, (t0, halfwidth), (0.0, 1.0), method="DOP853",
                         rtol=1e-12, atol=1e-14)
         if not sol.success:
             raise ConvergenceError(f"ODE integration failed: {sol.message}")
-        u_end, v_end = sol.y[0, -1], sol.y[1, -1]
-        scale = max(np.max(np.abs(sol.y[0])), np.max(np.abs(sol.y[1])), _TINY)
-        endpoint = u_end if mode == "dirichlet" else v_end
-        return endpoint, scale
+        runs[lam] = sol.y
+        return sol.y[end, -1]
 
     guess = _p_sine_half_period(p) / halfwidth ** p
     try:
-        lam, info = brentq(lambda lam: integrate_to_end(lam)[0], 0.5 * guess,
-                           2.0 * guess, xtol=_TINY, rtol=1e-14,
-                           full_output=True, disp=False)
+        lam, info = brentq(endpoint, 0.5 * guess, 2.0 * guess, xtol=_TINY,
+                           rtol=1e-14, full_output=True, disp=False)
     except ValueError as exc:  # brentq: no sign change in the bracket
         raise ConvergenceError(f"shooting root solve failed: {exc}") from exc
     if not info.converged:
         raise ConvergenceError(f"shooting root solve failed: {info.flag}")
-    val, scale = integrate_to_end(lam)
-    if abs(val) / scale > tol:
+    y = runs[lam]  # brentq returns a point it evaluated
+    scale = max(np.max(np.abs(y)), _TINY)
+    if abs(y[end, -1]) / scale > tol:
         raise ConvergenceError("boundary residual above tolerance")
+    # the first eigenfunction has no zero inside the Dirichlet interval, nor
+    # on (0, h] in the odd Neumann mode; |u| up to tol * scale counts as zero
+    u = y[0, 1:]
+    signs = np.sign(u[np.abs(u) > tol * scale])
+    if np.count_nonzero(signs[1:] != signs[:-1]):
+        raise ConvergenceError("shooting root is not the first eigenvalue: "
+                               "u changes sign")
     return lam
 

@@ -77,6 +77,24 @@ class TestEigen:
         assert "error: invalid solver config" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("problem,mesh", [
+        ("closed", CIRCLE),
+        ("dirichlet", {"kind": "interval", "n": 20, "a": -1.0, "b": 1.0})])
+    def test_singular_factorization_exits_one(self, tmp_path, outdir,
+                                              monkeypatch, problem, mesh):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(psolve, "splu", singular)
+        cfg = write_config(tmp_path / "c.json", {
+            "mesh": mesh, "p": 2.0, "factor": {"kind": "constant"},
+            "problem": problem, "seed": 0,
+        })
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert ("error: p = 2 eigensolve failed: Factor is exactly singular"
+                in result.output)
+
     def test_empty_off_mesh_exits_one(self, tmp_path, outdir):
         (tmp_path / "empty.off").write_text("OFF\n0 0 0\n")
         cfg = write_config(tmp_path / "bad.json", {

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse import bmat, csr_matrix, diags
+from scipy.sparse.linalg import LinearOperator, norm as sparse_norm
 
 from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       SolveOptions, build_circle, build_icosphere,
                       build_interval, extract_hemisphere, integrate,
-                      measure_density, mirror_index, normalize_unit_volume,
+                      load_mesh_csv, measure_density, mirror_index,
+                      normalize_unit_volume,
                       p_shift,
                       radial_average, random_smooth_factor,
                       rayleigh_quotient, reflect_even, shooting_eigenvalue_1d,
@@ -19,9 +20,8 @@ from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       split_band_plateau)
 from pspectra.mesh import _gram_inverse
 from pspectra import psolve
-from pspectra.psolve import (_TINY, _bordered_solver, _dirichlet_problem,
-                             _free_order, _p2_eigenvector, quotient_gradient,
-                             weighted_problem)
+from pspectra.psolve import (_TINY, _dirichlet_problem, _p2_eigenvector,
+                             quotient_gradient, weighted_problem)
 
 
 def ones(mesh):
@@ -468,17 +468,26 @@ class TestShootingOracle:
         for h in (1.0, 0.5, 0.25, 0.125, 0.1)] + [
         ("neumann", 2.0, 0.5), ("neumann", 1.5, 1.0), ("neumann", 3.0, 1.0)])
     def test_integrations_per_call(self, monkeypatch, mode, p, halfwidth):
-        # Brent's method takes 9-16; a bisection to 1e-14 takes about 50
-        solve_ivp = psolve.solve_ivp
-        calls = [0]
+        # Brent's method takes 9-16; a bisection to 1e-14 takes about 50.
+        # The checks of the root reuse its integration: none besides
+        # brentq's own
+        solve_ivp, brentq = psolve.solve_ivp, psolve.brentq
+        calls, evaluations = [0], []
 
         def counting_solve_ivp(*args, **kwargs):
             calls[0] += 1
             return solve_ivp(*args, **kwargs)
 
+        def recording_brentq(*args, **kwargs):
+            root, info = brentq(*args, **kwargs)
+            evaluations.append(info.function_calls)
+            return root, info
+
         monkeypatch.setattr(psolve, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(psolve, "brentq", recording_brentq)
         shooting_eigenvalue_1d(p, mode, halfwidth)
         assert calls[0] <= 20
+        assert evaluations == [calls[0]]
 
     @pytest.mark.parametrize("mode", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 5.0])
@@ -499,6 +508,17 @@ class TestShootingOracle:
         monkeypatch.setattr(psolve, "_p_sine_half_period",
                             lambda q: 3.0 * half_period(q))
         with pytest.raises(psolve.ConvergenceError):
+            shooting_eigenvalue_1d(p, mode, 1.0)
+
+    @pytest.mark.parametrize("mode,p", [("dirichlet", 2.0), ("neumann", 1.2)])
+    def test_second_eigenvalue_rejected(self, monkeypatch, mode, p):
+        # a 3x guess puts the bracket at [1.5, 6] lambda_1, around the next
+        # eigenvalue (4 lambda_1 and 3^1.2 lambda_1 = 3.7 lambda_1 here),
+        # where brentq converges
+        half_period = psolve._p_sine_half_period
+        monkeypatch.setattr(psolve, "_p_sine_half_period",
+                            lambda q: 3.0 * half_period(q))
+        with pytest.raises(psolve.ConvergenceError, match="first eigenvalue"):
             shooting_eigenvalue_1d(p, mode, 1.0)
 
     def test_invalid_arguments(self):
@@ -845,10 +865,19 @@ class TestP2Eigensolve:
     """The p = 2 eigensolve against the projected descent it replaced."""
 
     def test_stiffness_is_the_numerator(self, sphere3, kind):
+        # the eigensolve's system, on a field that vanishes where the
+        # problem pins it (the border row meets a zero)
         _, prob, _ = _p2_case(kind, sphere3)
         u = np.random.default_rng(5).standard_normal(prob.mesh.n_vertices)
-        assert u @ prob.stiffness() @ u == pytest.approx(
-            prob.numerator(u, 0.0), rel=1e-12)
+        closed = prob.fixed is None
+        if not closed:
+            u[prob.fixed] = 0.0
+        layout = prob.layout(bordered=closed)
+        K = layout.matrix(prob.stiffness_blocks(), np.zeros_like(u),
+                          prob.rho if closed else None)
+        x = np.zeros(layout.n)
+        x[layout.pos] = u[layout.free]
+        assert x @ K @ x == pytest.approx(prob.numerator(u, 0.0), rel=1e-12)
 
     def test_not_above_tight_descent(self, sphere3, kind):
         solve, prob, start = _p2_case(kind, sphere3)
@@ -873,6 +902,93 @@ class TestP2Eigensolve:
         assert np.array_equal(first.eigenfunction, second.eigenfunction)
 
 
+# -- the E'diag(h)E assembly, kept as a test-side reference -------------------
+# The solver assembled its systems this way before each mesh cached its
+# system layouts: three triple products with the edge-difference operators,
+# the free rows and columns, bmat for the border and the elimination order
+# applied to the assembled matrix.
+
+def assemble(prob, blocks):
+    """sum over elements of [E1; E2]' [[h11, h12], [h12, h22]] [E1; E2] on
+    all vertices (h11 alone in 1-D)."""
+    a = prob.asm
+    A = a.E1T @ diags(blocks[0]) @ a.E1
+    if a.E2 is not None:
+        cross = a.E1T @ diags(blocks[1]) @ a.E2
+        A = A + cross + cross.T + a.E2T @ diags(blocks[2]) @ a.E2
+    return A.tocsr()
+
+
+def reference_system(prob, blocks, shift, border=None):
+    """The system of prob's layout, assembled by the reference in the
+    layout's order."""
+    layout = prob.layout(bordered=border is not None)
+    free = layout.free
+    A = (assemble(prob, blocks) + diags(shift)).tocsr()[free][:, free]
+    order = np.empty(layout.n, dtype=int)
+    order[layout.pos] = np.arange(free.size)
+    if border is not None:
+        c = csr_matrix(border[free][:, None])
+        A = bmat([[A, c], [c.T, None]])
+        order[np.setdiff1d(np.arange(layout.n), layout.pos)] = free.size
+    return A.tocsr()[order][:, order]
+
+
+def _unequal_csv_interval(path):
+    """A 1-D CSV mesh of (-1, 1) with 40 segments of unequal length."""
+    gaps = np.random.default_rng(8).uniform(0.5, 1.5, 40)
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    x = 2.0 * x / x[-1] - 1.0
+    path.write_text("# kind=interval\nvertex,coordinate,boundary\n" + "".join(
+        f"{i},{v:.17g},{int(i in (0, 40))}\n" for i, v in enumerate(x)))
+    return load_mesh_csv(path)
+
+
+def _layout_problem(kind, sphere3, tmp_path):
+    p = 1.5 if kind in ("closed", "neumann", "dirichlet-hemisphere") else 3.0
+    f = random_smooth_factor(sphere3, seed=2)
+    if kind == "closed":
+        return weighted_problem(sphere3, f, p)
+    hemi = extract_hemisphere(sphere3)
+    if kind == "neumann":
+        return weighted_problem(hemi, f[hemi.parent_index], p)
+    if kind == "dirichlet-hemisphere":
+        return _dirichlet_problem(hemi, p)
+    if kind == "interval":
+        return _dirichlet_problem(build_interval(60, -1.0, 1.0), p)
+    if kind == "circle":
+        mesh = build_circle(80, 2.0 * np.pi)
+        return weighted_problem(mesh, np.exp(np.sin(mesh.vertices)), p)
+    mesh = _unequal_csv_interval(tmp_path / "mesh.csv")
+    return weighted_problem(mesh, np.exp(0.3 * mesh.vertices), p)
+
+
+@pytest.mark.parametrize("kind", ["closed", "neumann", "dirichlet-hemisphere",
+                                  "interval", "circle", "csv-unequal"])
+class TestLayout:
+    """The layouts' systems against the reference assembly."""
+
+    def test_newton_system(self, sphere3, tmp_path, kind):
+        prob = _layout_problem(kind, sphere3, tmp_path)
+        u = prob.project(np.random.default_rng(3).standard_normal(
+            prob.mesh.n_vertices))
+        reg, sigma, p = 1e-6, 0.7, prob.p
+        args = (prob.hessian_blocks(u, reg),
+                -sigma * p * (p - 1.0) * prob.normal(u), -prob.den_grad(u))
+        A = prob.layout(bordered=True).matrix(*args)
+        R = reference_system(prob, *args)
+        assert sparse_norm(A - R) <= 1e-14 * sparse_norm(R)
+
+    def test_eigensolve_system(self, sphere3, tmp_path, kind):
+        prob = _layout_problem(kind, sphere3, tmp_path)
+        closed = prob.fixed is None
+        args = (prob.stiffness_blocks(), np.zeros(prob.mesh.n_vertices),
+                prob.rho if closed else None)
+        A = prob.layout(bordered=closed).matrix(*args)
+        R = reference_system(prob, *args)
+        assert sparse_norm(A - R) <= 1e-14 * sparse_norm(R)
+
+
 class TestBorderedSolve:
     """The mean-constraint border of the p = 2 eigensolve."""
 
@@ -888,9 +1004,10 @@ class TestBorderedSolve:
             f = normalize_unit_volume(sphere5,
                                       random_smooth_factor(sphere5, seed=1))
         prob = weighted_problem(mesh, f, 2.0)
-        K, rho = prob.stiffness(), prob.rho
+        K, rho = assemble(prob, prob.stiffness_blocks()), prob.rho
         b = np.random.default_rng(0).standard_normal(mesh.n_vertices)
-        x = _bordered_solver(K, rho, _free_order(prob)[1])(b)
+        x = prob.layout(bordered=True).solver(
+            prob.stiffness_blocks(), np.zeros_like(rho), rho)(b)
         # K's rows sum to zero, so the multiplier of the border is sum b /
         # sum rho
         mu = b.sum() / rho.sum()
@@ -918,7 +1035,7 @@ class TestBorderedSolve:
             mesh, smooth_band_plateau_factor(mesh, 0.05, 3.0), 2.0)
         u = _p2_eigenvector(prob)
         assert applied[0] <= 100
-        K, rho = prob.stiffness(), prob.rho
+        K, rho = assemble(prob, prob.stiffness_blocks()), prob.rho
         lam = prob.numerator(u, 0.0) / prob.denominator(u)
         assert abs(rho @ u) <= 1e-12 * np.linalg.norm(rho) * np.linalg.norm(u)
         # normwise backward error of the eigen-equation
@@ -967,3 +1084,46 @@ class TestNewton:
         res = solve_closed(sphere3, f, opts)
         assert res.converged
         assert res.gradient_residual <= opts.residual_target
+
+    def test_damping_never_zeroes_the_shift(self, monkeypatch, sphere2):
+        # the ladder climbs past 1e-1 here; with the relative shift 1 that
+        # used to follow, sigma = 0 and the bordered system is singular
+        step = psolve._newton_step
+        shifts = []
+
+        def spy(prob, u, sigma, reg, *args):
+            q = prob.numerator(u, reg) / prob.denominator(u)
+            shifts.append((sigma, 1.0 - sigma / q))
+            return step(prob, u, sigma, reg, *args)
+
+        monkeypatch.setattr(psolve, "_newton_step", spy)
+        f = random_smooth_factor(sphere2, seed=4, amplitude=1.0)
+        res = solve_closed(sphere2, f, SolveOptions(p=1.5,
+                                                    residual_target=1e-9))
+        assert res.converged
+        assert len(shifts) == res.iterations
+        assert all(sigma != 0.0 for sigma, _ in shifts)
+        assert max(mu for _, mu in shifts) >= 0.5
+
+    @pytest.mark.parametrize("kind", ["closed", "dirichlet"])
+    def test_singular_factor_is_a_failed_step(self, monkeypatch, sphere2,
+                                              kind):
+        # every Newton factorization fails; the p = 2 eigensolve's does not
+        splu, calls = psolve.splu, [0]
+
+        def singular_after_first(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] > 1:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(psolve, "splu", singular_after_first)
+        opts = SolveOptions(p=1.5)
+        if kind == "closed":
+            res = solve_closed(sphere2, ones(sphere2), opts)
+        else:
+            res = solve_dirichlet(build_interval(20, -1.0, 1.0), opts)
+        # each stage climbs the whole damping ladder, then stops
+        assert res.stop_reason == "line_search_floor"
+        assert res.iterations == psolve._STAGES * len(psolve._DAMPING)
+        assert not res.converged
