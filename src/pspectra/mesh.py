@@ -419,18 +419,6 @@ def integrate(mesh, density):
     return float(mesh.element_measure @ density[mesh.elements].mean(axis=1))
 
 
-def _gram_inverse(mesh):
-    """Inverse Gram matrix entries (a, b, c) of each triangle's edge basis."""
-    p = mesh.vertices[mesh.elements]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    g11 = np.einsum("ij,ij->i", e1, e1)
-    g12 = np.einsum("ij,ij->i", e1, e2)
-    g22 = np.einsum("ij,ij->i", e2, e2)
-    det = g11 * g22 - g12 * g12
-    return g22 / det, -g12 / det, g11 / det
-
-
 # -- serialization ---------------------------------------------------------
 
 def save_off(mesh, path):

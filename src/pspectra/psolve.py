@@ -40,7 +40,7 @@ from scipy.spatial import cKDTree
 
 from .conformal import (check_conformal_factor, energy_density_weight,
                         measure_density)
-from .mesh import MeshError, _gram_inverse, check_field
+from .mesh import MeshError, check_field
 
 __all__ = [
     "DegenerateFieldError",
@@ -124,7 +124,8 @@ class SpectralResult:
     it meets the residual target. iterations counts the Newton systems
     solved, restarts the supplied starts solved besides the continuation
     path. stop_reason is "eigensolve" at p = 2, otherwise why the Newton run
-    of the result stopped: "residual", "line_search_floor" or
+    of the result stopped: "residual", "round_off" (its quotient stopped
+    changing beyond round-off first), "line_search_floor" or
     "max_iterations". history holds the regularized quotient at the start
     of that run and after each accepted step (nonincreasing; empty at
     p = 2).
@@ -250,38 +251,44 @@ def _power_change(x, dx, s):
 
 # -- assembly ----------------------------------------------------------------
 
+def _gram_inverse(mesh):
+    """Inverse Gram matrices of the elements' edge vectors, shape (k, k, ne):
+    1/h^2 on a segment, the closed-form 2x2 inverse on a triangle."""
+    if mesh.dim == 1:
+        return (1.0 / mesh.element_measure ** 2)[None, None]
+    p = mesh.vertices[mesh.elements]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    g11 = np.einsum("ij,ij->i", e1, e1)
+    g12 = np.einsum("ij,ij->i", e1, e2)
+    g22 = np.einsum("ij,ij->i", e2, e2)
+    det = g11 * g22 - g12 * g12
+    return np.array([[g22, -g12], [-g12, g11]]) / det
+
+
 class _Assembly:
-    """Sparse difference operators for vectorized energy and gradient, and
-    the mesh's system layouts."""
+    """The mesh's stacked edge-difference operator D, its inverse Gram stack
+    G and its system layouts.
+
+    Row a * ne + e of D is vertex a + 1 of element e minus its vertex 0, so
+    the squared gradient of a piecewise-linear field on element e is d'Gd,
+    d = (D u)[e::ne] its k edge differences and G = G[:, :, e]. Systems are
+    sums over elements of D' H D with symmetric blocks H, given by their
+    entries (a, b), a <= b, in the order of `pairs`.
+    """
 
     def __init__(self, mesh):
         ne, nv = mesh.n_elements, mesh.n_vertices
         el = mesh.elements
-        rows = np.repeat(np.arange(ne), 2)
-        if mesh.dim == 1:
-            invh = 1.0 / mesh.element_measure
-            data = np.column_stack([-invh, invh])
-            cols = el.ravel()
-            self.E1 = csr_matrix((data.ravel(), (rows, cols)), shape=(ne, nv))
-            self.E2 = None
-            self.ga = np.ones(ne)
-            self.gb = self.gc = None
-            self.local = [data]
-        else:
-            ones = np.ones(ne)
-            d1 = np.column_stack([-ones, ones]).ravel()
-            self.E1 = csr_matrix((d1, (rows, el[:, [0, 1]].ravel())),
-                                 shape=(ne, nv))
-            self.E2 = csr_matrix((d1, (rows, el[:, [0, 2]].ravel())),
-                                 shape=(ne, nv))
-            self.ga, self.gb, self.gc = _gram_inverse(mesh)
-            self.local = [np.array([-1.0, 1.0, 0.0]),
-                          np.array([-1.0, 0.0, 1.0])]
-        # local[a][..., i]: the coefficient of the element's vertex i in its
-        # edge difference a (row a of [E1; E2])
+        k = el.shape[1] - 1
+        rows = np.repeat(np.arange(k * ne), 2)
+        cols = np.column_stack([np.tile(el[:, 0], k), el[:, 1:].T.ravel()])
+        self.D = csr_matrix((np.tile([-1.0, 1.0], k * ne),
+                             (rows, cols.ravel())), shape=(k * ne, nv))
+        self.DT = self.D.T.tocsr()
+        self.G = _gram_inverse(mesh)
+        self.pairs = np.triu_indices(k)
         self.elements = el
-        self.E1T = self.E1.T.tocsr()
-        self.E2T = None if self.E2 is None else self.E2.T.tocsr()
         self.coords = mesh.vertices.reshape(nv, -1)
         self._layouts = {}
 
@@ -290,9 +297,12 @@ class _Assembly:
         """Nested-dissection order of all vertices; vertices that share an
         element (the stencil of every stiffness matrix and Hessian on the
         mesh) are neighbours."""
-        stencil = abs(self.E1) if self.E2 is None else abs(self.E1) + abs(
-            self.E2)
-        return _dissection_order(self.coords, stencil.T @ stencil)
+        ne, nvert = self.elements.shape
+        incidence = csr_matrix(
+            (np.ones(self.elements.size), self.elements.ravel(),
+             np.arange(0, ne * nvert + 1, nvert)),
+            shape=(ne, self.coords.shape[0]))
+        return _dissection_order(self.coords, incidence.T @ incidence)
 
     def layout(self, fixed, bordered):
         """The cached _Layout of the systems on the vertices not fixed."""
@@ -305,16 +315,15 @@ class _Assembly:
 class _Layout:
     """One kind of linear system on a mesh, laid out for its factorization.
 
-    The system is the sum over elements of [E1; E2]' [[h11, h12], [h12,
-    h22]] [E1; E2] (h11 alone in 1-D) plus diag(shift), on the free
-    vertices, and if bordered, bordered by a column c with a zero corner.
-    Its unknowns are the free vertices in the mesh's dissection order, the
-    border placed before the last of them: a matrix singular in one
-    direction not orthogonal to c (the constant mode of a stiffness matrix,
-    the iterate at a Newton solution) would leave the round-off of that
-    zero as the last pivot with the border last. The CSC pattern is fixed
-    in that order, and the sparse map `scatter` takes the stacked
-    [h11, h12, h22, shift, c] (per element, per vertex) to its data, so
+    The system is the sum over elements of D' H D (see _Assembly) plus
+    diag(shift), on the free vertices, and if bordered, bordered by a column
+    c with a zero corner. Its unknowns are the free vertices in the mesh's
+    dissection order, the border placed before the last of them: a matrix
+    singular in one direction not orthogonal to c (the constant mode of a
+    stiffness matrix, the iterate at a Newton solution) would leave the
+    round-off of that zero as the last pivot with the border last. The CSC
+    pattern is fixed in that order, and the sparse map `scatter` takes the
+    stacked [H blocks, shift, c] (per element, per vertex) to its data, so
     assembling a system is one product.
     """
 
@@ -335,10 +344,10 @@ class _Layout:
         # the pattern: the key c * n + r of every entry (r, c) of the
         # element matrices (n * n where a vertex is fixed), the diagonal
         # and the border
-        el, loc = asm.elements, asm.local
-        ne, k = el.shape
-        pairs = [(i, j) for i in range(k) for j in range(k)]
-        entries = [(at[el[:, i]], at[el[:, j]]) for i, j in pairs]
+        el = asm.elements
+        ne, nvert = el.shape
+        entries = [(at[el[:, i]], at[el[:, j]]) for i in range(nvert)
+                   for j in range(nvert)]
         entries.append((self.pos, self.pos))
         if bordered:
             edge = np.full(nf, nf - 1)
@@ -352,29 +361,28 @@ class _Layout:
             np.int32)
         self.indices = (pattern[:npat] % n).astype(np.int32)
         # the scatter, by columns: the slots each source value (an element's
-        # h11, h12, h22, a vertex's shift, border) lands on, with their
-        # coefficients (from rows a and b of [E1; E2] for block (a, b))
-        element_slots = slots[:len(pairs) * ne].reshape(len(pairs), ne)
+        # block entry, a vertex's shift, border) lands on, with their
+        # coefficients; local[a, i] is that of an element's vertex i in its
+        # edge difference a, so block entry (a, b) adds local[a, i] *
+        # local[b, j] (and its mirror for a != b) to element entry (i, j)
+        element_slots = slots[:nvert * nvert * ne].reshape(-1, ne)
+        local = np.hstack([-np.ones((nvert - 1, 1)), np.eye(nvert - 1)])
         sources = []
-        for a, b in [(0, 0)] if len(loc) == 1 else [(0, 0), (0, 1), (1, 1)]:
-            use, coef = [], []
-            for m, (i, j) in enumerate(pairs):
-                w = loc[a][..., i] * loc[b][..., j]
-                if a != b:
-                    w = w + loc[b][..., i] * loc[a][..., j]
-                if np.any(w != 0.0):
-                    use.append(element_slots[m])
-                    coef.append(np.broadcast_to(w, (ne,)))
-            sources.append((np.stack(use, axis=1), np.stack(coef, axis=1)))
-        rest = slots[len(pairs) * ne:].reshape(-1, nf)  # diagonal, border
+        for a, b in zip(*asm.pairs):
+            w = np.outer(local[a], local[b])
+            w = (w if a == b else w + w.T).ravel()
+            use = np.flatnonzero(w)
+            sources.append((element_slots[use].T, w[use]))
+        rest = slots[nvert * nvert * ne:].reshape(-1, nf)  # diagonal, border
         for group in [rest[:1], rest[1:]] if bordered else [rest]:
             idx = np.full((nv, group.shape[0]), npat, dtype=np.int32)
             idx[free] = group.T
-            sources.append((idx, np.ones(idx.shape)))
+            sources.append((idx, 1.0))
         keep = [idx < npat for idx, _ in sources]
         counts = np.concatenate([kp.sum(axis=1) for kp in keep])
+        values = [(kp * w)[kp] for (_, w), kp in zip(sources, keep)]
         self.scatter = csc_matrix(
-            (np.concatenate([w[kp] for (_, w), kp in zip(sources, keep)]),
+            (np.concatenate(values),
              np.concatenate([idx[kp] for (idx, _), kp in zip(sources, keep)]),
              np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
             shape=(npat, counts.size))
@@ -420,22 +428,17 @@ class _Problem:
         self.nw = num_weights          # element: measure * mean energy weight
         self.rho = rho                 # vertex: density * lumped measure
         self.fixed = fixed             # boolean mask of pinned (zero) vertices
-        self.constrained = fixed is None
 
-    def _diffs(self, u):
-        d1 = self.asm.E1 @ u
-        d2 = None if self.asm.E2 is None else self.asm.E2 @ u
-        return d1, d2
-
-    def _gradsq(self, d1, d2):
-        if d2 is None:
-            return d1 * d1
-        return (self.asm.ga * d1 * d1 + 2.0 * self.asm.gb * d1 * d2
-                + self.asm.gc * d2 * d2)
+    def _edges(self, u, reg):
+        """(d, Gd, g) per element: the edge differences d (k x ne) of u, G d
+        and the regularized squared gradient g = d'Gd + reg."""
+        d = (self.asm.D @ u).reshape(self.asm.G.shape[0], -1)
+        gd = np.einsum("abe,be->ae", self.asm.G, d)
+        return d, gd, np.einsum("ae,ae->e", d, gd) + reg
 
     def gradsq(self, u):
         """Squared gradient of the piecewise-linear field u, per element."""
-        return self._gradsq(*self._diffs(u))
+        return self._edges(u, 0.0)[2]
 
     def layout(self, bordered):
         """The mesh's _Layout on this problem's free vertices."""
@@ -443,49 +446,29 @@ class _Problem:
 
     def stiffness_blocks(self):
         """Per-element blocks of the stiffness matrix K, numerator(u, 0) ==
-        u @ K @ u when p = 2 (see _Layout)."""
-        a = self.asm
-        if a.E2 is None:
-            return [self.nw * a.ga]
-        return [self.nw * a.ga, self.nw * a.gb, self.nw * a.gc]
+        u @ K @ u when p = 2 (see _Assembly)."""
+        return self.nw * self.asm.G[self.asm.pairs]
 
     def hessian_blocks(self, u, reg):
         """Per-element blocks of the Hessian of numerator(u, reg) (see
-        _Layout): coef * G + nw p (p - 2) (g + reg)^(p/2 - 2) (G d)(G d)',
-        with d the edge differences, G the inverse Gram matrix and
-        g = d'Gd."""
-        p, a = self.p, self.asm
-        d1, d2 = self._diffs(u)
-        g = self._gradsq(d1, d2) + reg
+        _Assembly): nw p g^(p/2 - 1) G + nw p (p - 2) g^(p/2 - 2) (G d)(G d)',
+        g the regularized squared gradient."""
+        p, (a, b) = self.p, self.asm.pairs
+        _, gd, g = self._edges(u, reg)
         coef = self.nw * p * g ** (p / 2.0 - 1.0)
         rank = self.nw * p * (p - 2.0) * g ** (p / 2.0 - 2.0)
-        if d2 is None:
-            return [coef + rank * d1 * d1]
-        gd1 = a.ga * d1 + a.gb * d2
-        gd2 = a.gb * d1 + a.gc * d2
-        return [coef * a.ga + rank * gd1 * gd1,
-                coef * a.gb + rank * gd1 * gd2,
-                coef * a.gc + rank * gd2 * gd2]
+        return coef * self.asm.G[a, b] + rank * gd[a] * gd[b]
 
     def numerator(self, u, reg):
-        g = self.gradsq(u)
-        return float(np.sum(self.nw * (g + reg) ** (self.p / 2.0)))
+        g = self._edges(u, reg)[2]
+        return float(np.sum(self.nw * g ** (self.p / 2.0)))
 
     def num_and_grad(self, u, reg):
         p = self.p
-        d1, d2 = self._diffs(u)
-        g = self._gradsq(d1, d2) + reg
+        _, gd, g = self._edges(u, reg)
         gp1 = g ** (p / 2.0 - 1.0)
         num = float(np.sum(self.nw * gp1 * g))
-        coef = self.nw * p * gp1
-        if d2 is None:
-            grad = self.asm.E1T @ (coef * d1)
-        else:
-            grad = (self.asm.E1T @ (coef * (self.asm.ga * d1
-                                            + self.asm.gb * d2))
-                    + self.asm.E2T @ (coef * (self.asm.gb * d1
-                                              + self.asm.gc * d2)))
-        return num, grad
+        return num, self.asm.DT @ (self.nw * p * gp1 * gd).ravel()
 
     def denominator(self, u):
         return float(np.sum(np.abs(u) ** self.p * self.rho))
@@ -494,16 +477,9 @@ class _Problem:
         """Regularized quotient of v minus that of u, computed from the
         difference v - u, so it stays accurate where the two quotients
         agree to round-off."""
-        d1, d2 = self._diffs(u)
-        e1, e2 = self._diffs(v - u)
-        g = self._gradsq(d1, d2) + reg
-        if d2 is None:
-            dg = e1 * (2.0 * d1 + e1)
-        else:
-            a = self.asm
-            dg = (a.ga * e1 * (2.0 * d1 + e1)
-                  + 2.0 * a.gb * (d1 * e2 + e1 * d2 + e1 * e2)
-                  + a.gc * e2 * (2.0 * d2 + e2))
+        _, gd, g = self._edges(u, reg)
+        e, ge, _ = self._edges(v - u, 0.0)
+        dg = np.einsum("ae,ae->e", e, 2.0 * gd + ge)  # e'G(2d + e)
         au = np.abs(u)
         num = float(np.sum(self.nw * g ** (self.p / 2.0)))
         den = float(np.sum(self.rho * au ** self.p))
@@ -534,7 +510,7 @@ class _Problem:
         if self.fixed is not None:
             u = u.copy()
             u[self.fixed] = 0.0
-        elif self.constrained:
+        else:
             u = u - p_shift(u, self.rho, self.p, c0=c0)
         den = self.denominator(u)
         if den <= _TINY:
@@ -621,6 +597,8 @@ def _p2_eigenvector(prob):
 
 _STAGES = 4             # equal steps of p from 2 to the target
 _MIN_STEP = 2.0 ** -10  # Newton steps are halved down to this fraction
+_FLAT_STEPS = 3         # a run stops after this many accepted steps in a
+                        # row that change R by at most 4 ulp (round-off)
 # relative shifts mu of lam (sigma = lam (1 - mu)) tried in turn while
 # Newton steps fail to descend; a run stops beyond the last. mu = 1 is left
 # out: at sigma = 0 the bordered system of a closed or Neumann problem has
@@ -671,8 +649,10 @@ def _newton(prob, u, reg, budget, target, history):
     descent direction (near a saddle of R), the system is solved again with
     lam shifted down by a growing multiple of itself, which turns the step
     towards a preconditioned gradient step (_DAMPING); a system with a zero
-    pivot counts as such a step. R of the start and of every accepted
-    iterate are appended to history, which is therefore
+    pivot counts as such a step. A run whose last _FLAT_STEPS accepted
+    steps changed R by round-off only stops ("round_off"): the residual
+    target lies below what the arithmetic resolves. R of the start and of
+    every accepted iterate are appended to history, which is therefore
     nonincreasing. Returns the iterate, the number of systems solved and
     why the run stopped.
     """
@@ -684,14 +664,16 @@ def _newton(prob, u, reg, budget, target, history):
 
     ev = evaluate(u)
     history.append(ev[0] / ev[2])
-    steps = 0
-    level = 0
+    steps = level = flat = 0
     while True:
         num, grad_n, den, grad_d = ev
         q = num / den
         r = grad_n - q * grad_d
         if _residual(prob, u, r, grad_n) <= target:
             reason = "residual"
+            break
+        if flat == _FLAT_STEPS:
+            reason = "round_off"
             break
         if steps >= budget:
             reason = "max_iterations"
@@ -714,6 +696,7 @@ def _newton(prob, u, reg, budget, target, history):
                 break
             continue
         level = max(level - 1, 0)
+        flat = flat + 1 if abs(change) <= 4.0 * np.spacing(q) else 0
         u, ev = trial, evaluate(trial)
         history.append(history[-1] + change)
     return u, steps, reason
@@ -725,7 +708,7 @@ def _finalize(prob, u, reg, target, history, reason):
     num, grad_n = prob.num_and_grad(u, reg)
     residual = _residual(prob, u, grad_n - (num / den) * prob.den_grad(u),
                          grad_n)
-    defect = prob.constraint_defect(u) if prob.constrained else 0.0
+    defect = prob.constraint_defect(u) if prob.fixed is None else 0.0
     return SpectralResult(
         lam=float(lam),
         eigenfunction=u,

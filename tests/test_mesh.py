@@ -225,9 +225,23 @@ class TestFieldOps:
         g = gradsq(sphere3, np.full(sphere3.n_vertices, 4.2))
         assert np.all(g == 0.0)
 
-    def test_gradient_unit_slope_1d(self):
-        m = build_interval(10, 0.0, 1.0)
-        assert np.allclose(gradsq(m, m.vertices.copy()), 1.0)
+    def test_gradient_unit_slope_1d(self, csv_interval):
+        # and slope 3 on segments of unequal length
+        for m, slope in [(build_interval(10, 0.0, 1.0), 1.0),
+                         (csv_interval, 3.0)]:
+            g = gradsq(m, slope * m.vertices)
+            assert np.allclose(g, slope * slope, rtol=1e-12, atol=0.0)
+
+    def test_gradient_linear_on_flat_triangles(self, sphere2):
+        # the gradient of c.x on a flat triangle is c's part in its plane
+        c = np.array([0.3, -1.2, 2.0])
+        p = sphere2.vertices[sphere2.elements]
+        n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        tangential = c - (n @ c)[:, None] * n
+        g = gradsq(sphere2, sphere2.vertices @ c)
+        assert np.allclose(g, np.sum(tangential ** 2, axis=1), rtol=1e-12,
+                           atol=0.0)
 
     def test_gradient_shift_invariant(self, sphere3):
         rng = np.random.default_rng(1)

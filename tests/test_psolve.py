@@ -10,7 +10,7 @@ from scipy.sparse.linalg import LinearOperator, norm as sparse_norm
 from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       SolveOptions, build_circle, build_icosphere,
                       build_interval, extract_hemisphere, integrate,
-                      load_mesh_csv, measure_density, mirror_index,
+                      measure_density, mirror_index,
                       normalize_unit_volume,
                       p_shift,
                       radial_average, random_smooth_factor,
@@ -18,10 +18,10 @@ from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       smooth_band_plateau_factor, band_plateau_factor,
                       solve_closed, solve_dirichlet, solve_neumann,
                       split_band_plateau)
-from pspectra.mesh import _gram_inverse
 from pspectra import psolve
-from pspectra.psolve import (_TINY, _dirichlet_problem, _p2_eigenvector,
-                             quotient_gradient, weighted_problem)
+from pspectra.psolve import (_TINY, _dirichlet_problem, _gram_inverse,
+                             _p2_eigenvector, quotient_gradient,
+                             weighted_problem)
 
 
 def ones(mesh):
@@ -530,29 +530,34 @@ class TestShootingOracle:
 
 class TestSolverInternals:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_gradient_matches_finite_differences(self, p):
-        mesh = build_icosphere(1)  # 42 vertices
-        rng = np.random.default_rng(21)
-        u = rng.standard_normal(mesh.n_vertices)
-        f = random_smooth_factor(mesh, seed=3, amplitude=0.7)
-        reg = 1e-4
-        grad = quotient_gradient(mesh, f, p, u, reg=reg)
-
-        def quotient(v):
-            from pspectra.psolve import _Problem, _element_mean
-            from pspectra import energy_density_weight
+    def test_gradient_matches_finite_differences(self, csv_interval, p):
+        from pspectra.psolve import _Problem, _element_mean
+        from pspectra import energy_density_weight
+        ico = build_icosphere(1)  # 42 vertices
+        circle = build_circle(40, 2.0 * np.pi)
+        for mesh, f in [
+                (ico, random_smooth_factor(ico, seed=3, amplitude=0.7)),
+                (circle, np.exp(np.sin(circle.vertices))),
+                (csv_interval, np.exp(0.3 * csv_interval.vertices))]:
+            rng = np.random.default_rng(21)
+            u = rng.standard_normal(mesh.n_vertices)
+            reg = 1e-4
+            grad = quotient_gradient(mesh, f, p, u, reg=reg)
             ew = _element_mean(mesh, energy_density_weight(mesh, f, p))
             prob = _Problem(mesh, p, mesh.element_measure * ew,
                             measure_density(mesh, f) * mesh.vertex_measure)
-            return prob.numerator(v, reg) / prob.denominator(v)
 
-        h = 1e-6
-        fd = np.empty_like(u)
-        for i in range(mesh.n_vertices):
-            e = np.zeros_like(u)
-            e[i] = h
-            fd[i] = (quotient(u + e) - quotient(u - e)) / (2 * h)
-        assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(grad)
+            def quotient(v):
+                return prob.numerator(v, reg) / prob.denominator(v)
+
+            h = 1e-6
+            fd = np.empty_like(u)
+            for i in range(mesh.n_vertices):
+                e = np.zeros_like(u)
+                e[i] = h
+                fd[i] = (quotient(u + e) - quotient(u - e)) / (2 * h)
+            assert (np.linalg.norm(fd - grad)
+                    <= 1e-5 * np.linalg.norm(grad)), mesh.kind
 
     def test_descent_monotonic_history(self, sphere3):
         f = random_smooth_factor(sphere3, seed=2)
@@ -630,7 +635,7 @@ class DescentProblem:
             u = u.copy()
             u[self.fixed] = 0.0
             c = 0.0
-        elif self.constrained:
+        else:
             c = p_shift(u, self.rho, self.p, c0=c0)
             u = u - c
         den = self.denominator(u)
@@ -655,7 +660,7 @@ class DescentProblem:
         safe = np.maximum(au, 1e-14 * np.max(au) + _TINY)
         aup1 = aup / safe
         den_grad = self.p * np.sign(u) * aup1 * self.rho
-        normal = (aup1 / safe) * self.rho if self.constrained else None
+        normal = (aup1 / safe) * self.rho if self.fixed is None else None
         return den, den_grad, normal
 
     def tangent(self, u, grad, normal=None):
@@ -678,12 +683,9 @@ def _jacobi_scatter(mesh):
     structure of the gradient square (the Jacobi diagonal's operator)."""
     ne, nv = mesh.n_elements, mesh.n_vertices
     el = mesh.elements
-    if mesh.dim == 1:
-        invh = 1.0 / mesh.element_measure
-        sdiag = np.column_stack([invh * invh, invh * invh])
-    else:
-        ga, gb, gc = _gram_inverse(mesh)
-        sdiag = np.column_stack([ga + 2.0 * gb + gc, ga, gc])
+    # vertex 0 enters every edge difference, vertex a + 1 only difference a
+    G = _gram_inverse(mesh)
+    sdiag = np.column_stack([G.sum(axis=(0, 1)), *np.diagonal(G).T])
     vrows = el.ravel()
     vcols = np.repeat(np.arange(ne), el.shape[1])
     return csr_matrix((sdiag.ravel(), (vrows, vcols)), shape=(nv, ne))
@@ -909,13 +911,16 @@ class TestP2Eigensolve:
 # applied to the assembled matrix.
 
 def assemble(prob, blocks):
-    """sum over elements of [E1; E2]' [[h11, h12], [h12, h22]] [E1; E2] on
-    all vertices (h11 alone in 1-D)."""
+    """sum over elements of D' H D on all vertices, H the symmetric blocks
+    given by their entries (a, b), a <= b (see psolve._Assembly), as triple
+    products with D's row blocks."""
     a = prob.asm
-    A = a.E1T @ diags(blocks[0]) @ a.E1
-    if a.E2 is not None:
-        cross = a.E1T @ diags(blocks[1]) @ a.E2
-        A = A + cross + cross.T + a.E2T @ diags(blocks[2]) @ a.E2
+    ne = prob.mesh.n_elements
+    rows = [a.D[i * ne:(i + 1) * ne] for i in range(a.G.shape[0])]
+    A = csr_matrix((a.D.shape[1], a.D.shape[1]))
+    for h, i, j in zip(blocks, *a.pairs):
+        term = rows[i].T @ diags(h) @ rows[j]
+        A = A + (term if i == j else term + term.T)
     return A.tocsr()
 
 
@@ -934,17 +939,7 @@ def reference_system(prob, blocks, shift, border=None):
     return A.tocsr()[order][:, order]
 
 
-def _unequal_csv_interval(path):
-    """A 1-D CSV mesh of (-1, 1) with 40 segments of unequal length."""
-    gaps = np.random.default_rng(8).uniform(0.5, 1.5, 40)
-    x = np.concatenate([[0.0], np.cumsum(gaps)])
-    x = 2.0 * x / x[-1] - 1.0
-    path.write_text("# kind=interval\nvertex,coordinate,boundary\n" + "".join(
-        f"{i},{v:.17g},{int(i in (0, 40))}\n" for i, v in enumerate(x)))
-    return load_mesh_csv(path)
-
-
-def _layout_problem(kind, sphere3, tmp_path):
+def _layout_problem(kind, sphere3, csv_interval):
     p = 1.5 if kind in ("closed", "neumann", "dirichlet-hemisphere") else 3.0
     f = random_smooth_factor(sphere3, seed=2)
     if kind == "closed":
@@ -959,8 +954,8 @@ def _layout_problem(kind, sphere3, tmp_path):
     if kind == "circle":
         mesh = build_circle(80, 2.0 * np.pi)
         return weighted_problem(mesh, np.exp(np.sin(mesh.vertices)), p)
-    mesh = _unequal_csv_interval(tmp_path / "mesh.csv")
-    return weighted_problem(mesh, np.exp(0.3 * mesh.vertices), p)
+    return weighted_problem(csv_interval, np.exp(0.3 * csv_interval.vertices),
+                            p)
 
 
 @pytest.mark.parametrize("kind", ["closed", "neumann", "dirichlet-hemisphere",
@@ -968,8 +963,8 @@ def _layout_problem(kind, sphere3, tmp_path):
 class TestLayout:
     """The layouts' systems against the reference assembly."""
 
-    def test_newton_system(self, sphere3, tmp_path, kind):
-        prob = _layout_problem(kind, sphere3, tmp_path)
+    def test_newton_system(self, sphere3, csv_interval, kind):
+        prob = _layout_problem(kind, sphere3, csv_interval)
         u = prob.project(np.random.default_rng(3).standard_normal(
             prob.mesh.n_vertices))
         reg, sigma, p = 1e-6, 0.7, prob.p
@@ -979,14 +974,34 @@ class TestLayout:
         R = reference_system(prob, *args)
         assert sparse_norm(A - R) <= 1e-14 * sparse_norm(R)
 
-    def test_eigensolve_system(self, sphere3, tmp_path, kind):
-        prob = _layout_problem(kind, sphere3, tmp_path)
+    def test_eigensolve_system(self, sphere3, csv_interval, kind):
+        prob = _layout_problem(kind, sphere3, csv_interval)
         closed = prob.fixed is None
         args = (prob.stiffness_blocks(), np.zeros(prob.mesh.n_vertices),
                 prob.rho if closed else None)
         A = prob.layout(bordered=closed).matrix(*args)
         R = reference_system(prob, *args)
         assert sparse_norm(A - R) <= 1e-14 * sparse_norm(R)
+
+    def test_hessian_blocks(self, sphere3, csv_interval, kind):
+        # the Newton system's blocks, without shift and border, times v
+        # against central differences of the numerator's gradient along v
+        prob = _layout_problem(kind, sphere3, csv_interval)
+        rng = np.random.default_rng(4)
+        u = prob.project(rng.standard_normal(prob.mesh.n_vertices))
+        v = rng.standard_normal(prob.mesh.n_vertices)
+        if prob.fixed is not None:
+            v[prob.fixed] = 0.0
+        reg, h = 1e-2, 1e-6
+        layout = prob.layout(bordered=True)
+        zero = np.zeros_like(u)
+        H = layout.matrix(prob.hessian_blocks(u, reg), zero, zero)
+        x = np.zeros(layout.n)
+        x[layout.pos] = v[layout.free]
+        hv = (H @ x)[layout.pos]
+        fd = (prob.num_and_grad(u + h * v, reg)[1]
+              - prob.num_and_grad(u - h * v, reg)[1])[layout.free] / (2 * h)
+        assert np.linalg.norm(hv - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
 class TestBorderedSolve:
@@ -1084,6 +1099,17 @@ class TestNewton:
         res = solve_closed(sphere3, f, opts)
         assert res.converged
         assert res.gradient_residual <= opts.residual_target
+
+    def test_round_off_stops_the_run(self):
+        # the residual floors at 1.2e-8, above the target; without a
+        # round-off stop the run spends max_iterations (6000 systems) on
+        # steps that change the quotient by round-off only
+        res = solve_dirichlet(build_interval(200, -1.0, 1.0),
+                              SolveOptions(p=1.2, residual_target=1e-9))
+        assert res.stop_reason == "round_off"
+        assert not res.converged
+        assert res.iterations < 100
+        assert res.lam == pytest.approx(1.4582256465907624, rel=1e-14)
 
     def test_damping_never_zeroes_the_shift(self, monkeypatch, sphere2):
         # the ladder climbs past 1e-1 here; with the relative shift 1 that
