@@ -105,7 +105,7 @@ class SolveOptions:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.delta < 0.0:
+        if not self.delta >= 0.0:
             raise ValueError("delta must be nonnegative")
         if self.multistart < 1:
             raise ValueError("multistart must be at least 1")
@@ -186,14 +186,15 @@ def quotient_gradient(mesh, f, p, u, reg=0.0):
     return (grad_n - (num / den) * prob.den_grad(u)) / den
 
 
-def p_shift(u, weights, p, c0=None):
+def p_shift(u, weights, p):
     """Constant c with sum |u-c|^(p-2) (u-c) weights = 0.
 
-    The balance map is strictly decreasing in c, so c is unique inside
-    [min u, max u]; found by bracketed bisection with Newton polish, driven
-    to round-off. (The balance has a power-law kink at each data value; if
-    the root collides with one, exact vanishing may not be representable
-    and the best floating-point candidate is returned.)
+    The balance is strictly decreasing in c, positive at the least and
+    negative at the greatest value of u on the weights' support, so c is
+    its unique root between the two: one Brent solve (brentq) on that
+    bracket, to 4 ulps. A run that reaches brentq's step cap returns its
+    last iterate. (The balance has a power-law kink at each data value; a
+    root next to one may leave a residue that no float removes.)
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -209,37 +210,11 @@ def p_shift(u, weights, p, c0=None):
 
     def balance(c):
         e = u - c
-        a = np.abs(e)
-        ap1 = a ** (p - 1.0)
-        h = float(np.sum(np.sign(e) * ap1 * w))
-        scale = float(np.sum(ap1 * w))
-        slope = (p - 1.0) * float(np.sum(ap1 / np.maximum(a, _TINY) * w))
-        return h, scale, slope
+        return float(np.sum(np.sign(e) * np.abs(e) ** (p - 1.0) * w))
 
-    c = float(c0) if c0 is not None and lo < c0 < hi else 0.5 * (lo + hi)
-    best_c, best_h = c, np.inf
-    dx = dx_old = hi - lo
-    for _ in range(80):
-        h, scale, slope = balance(c)
-        if abs(h) < best_h:
-            best_c, best_h = c, abs(h)
-        if abs(h) <= 1e-14 * scale:
-            break
-        if h > 0.0:
-            lo = c
-        else:
-            hi = c
-        # Newton only while it stays in the bracket and at least halves the
-        # step before last (as in rtsafe): next to a data value the slope
-        # blows up and unguarded Newton steps crawl
-        newton = h / slope if slope > 0.0 else np.inf
-        if lo < c + newton < hi and 2.0 * abs(newton) <= dx_old:
-            dx_old, dx = dx, abs(newton)
-            c = c + newton
-        else:
-            dx_old, dx = dx, 0.5 * (hi - lo)
-            c = 0.5 * (lo + hi)
-    return best_c
+    xtol = 4.0 * np.spacing(max(abs(lo), abs(hi)))
+    return brentq(balance, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps,
+                  disp=False)
 
 
 def _power_change(x, dx, s):
@@ -504,14 +479,14 @@ class _Problem:
         scale = float(np.sum(au ** (self.p - 1.0) * self.rho))
         return abs(val) / max(scale, _TINY)
 
-    def project(self, u, c0=None):
-        """Pin/shift/renormalize a candidate onto the feasible set (c0: a
-        guess of the p-mean shift)."""
+    def project(self, u):
+        """Pin the fixed vertices to zero (Dirichlet) or shift to vanishing
+        p-mean (p_shift), then scale to unit denominator."""
         if self.fixed is not None:
             u = u.copy()
             u[self.fixed] = 0.0
         else:
-            u = u - p_shift(u, self.rho, self.p, c0=c0)
+            u = u - p_shift(u, self.rho, self.p)
         den = self.denominator(u)
         if den <= _TINY:
             raise DegenerateFieldError("degenerate start field")
@@ -570,7 +545,8 @@ def _p2_eigenvector(prob):
     solves with a system factored once in nested-dissection order. Closed
     and Neumann problems border K by the p = 2 mean constraint rho'u = 0,
     which removes the constant null mode; Dirichlet problems take K on the
-    free vertices. A singular factorization raises ConvergenceError.
+    free vertices. A singular factorization or a failed ARPACK run raises
+    ConvergenceError.
     """
     closed = prob.fixed is None
     layout = prob.layout(bordered=closed)
@@ -581,16 +557,16 @@ def _p2_eigenvector(prob):
             raise DegenerateFieldError("every vertex is pinned")
         u[free] = 1.0
         return u
+    v0 = np.random.default_rng(0).standard_normal(free.size)
     try:
         solve = layout.solver(prob.stiffness_blocks(), np.zeros_like(u),
                               prob.rho if closed else None)
-    except RuntimeError as exc:  # splu: a zero pivot
+        # shift-invert eigsh reads only the shape of its matrix argument
+        op = LinearOperator((free.size, free.size), matvec=solve, dtype=float)
+        _, vecs = eigsh(op, k=1, M=diags(prob.rho[free]), sigma=0.0, v0=v0,
+                        OPinv=op)
+    except RuntimeError as exc:  # splu: a zero pivot; eigsh: ArpackError
         raise ConvergenceError(f"p = 2 eigensolve failed: {exc}") from exc
-    # in shift-invert mode eigsh reads only the shape of its matrix argument
-    op = LinearOperator((free.size, free.size), matvec=solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(free.size)
-    _, vecs = eigsh(op, k=1, M=diags(prob.rho[free]), sigma=0.0, v0=v0,
-                    OPinv=op)
     u[free] = vecs[:, 0]
     return u
 
@@ -684,7 +660,7 @@ def _newton(prob, u, reg, budget, target, history):
         slope = 0.0 if du is None else float(np.dot(r, du)) / den
         t = 1.0
         while slope < 0.0 and t >= _MIN_STEP:
-            trial = prob.project(u + t * du, c0=0.0)
+            trial = prob.project(u + t * du)
             change = prob.quotient_change(u, trial, reg)
             if change <= 1e-4 * t * slope:
                 break
@@ -722,45 +698,35 @@ def _finalize(prob, u, reg, target, history, reason):
     )
 
 
-def weighted_problem(mesh, f, p):
+def weighted_problem(mesh, f, p, fixed=None):
     """The weighted quotient of the conformal factor f at exponent p.
 
     numerator(u, 0) integrates |du|^p f^((m-p)/2) (weight averaged per
     element), denominator(u) integrates |u|^p f^(m/2) under the lumped vertex
     measure, gradsq(u) is the per-element |du|^2 and constraint_defect(u) the
-    relative weighted p-mean of u.
+    relative weighted p-mean of u. fixed, a boolean vertex mask, pins those
+    vertices to zero in place of the p-mean constraint (Dirichlet).
     """
     f = check_conformal_factor(mesh, f)
     ew = _element_mean(mesh, energy_density_weight(mesh, f, p))
     return _Problem(mesh, p, mesh.element_measure * ew,
-                    measure_density(mesh, f) * mesh.vertex_measure)
+                    measure_density(mesh, f) * mesh.vertex_measure, fixed)
 
 
-def _dirichlet_problem(mesh, p):
-    """Unweighted problem with the boundary vertices pinned to zero."""
-    return _Problem(mesh, p, mesh.element_measure.copy(),
-                    mesh.vertex_measure.copy(), fixed=mesh.boundary.copy())
-
-
-def _solve(mesh, f, opts, *, dirichlet, extra_starts=None):
-    def problem(q):
-        if dirichlet:
-            return _dirichlet_problem(mesh, q)
-        return weighted_problem(mesh, f, q)
-
+def _solve(mesh, f, opts, fixed=None, extra_starts=None):
     if opts.p == 2.0:
-        prob = problem(2.0)
+        prob = weighted_problem(mesh, f, 2.0, fixed)
         u = prob.project(_p2_eigenvector(prob))
         return _finalize(prob, u, _regularization(prob, u, opts.delta),
                          opts.residual_target, [], "eigensolve")
 
     # the canonical path: from the p = 2 eigenvector in equal steps of p,
     # each stage with its own regularization level
-    u = _p2_eigenvector(problem(2.0))
+    u = _p2_eigenvector(weighted_problem(mesh, f, 2.0, fixed))
     used = 0
     qs = np.linspace(2.0, opts.p, _STAGES + 1)[1:]
     for q in qs:
-        prob = problem(q)
+        prob = weighted_problem(mesh, f, q, fixed)
         u = prob.project(u)
         reg = _regularization(prob, u, opts.delta)
         history = []
@@ -801,7 +767,7 @@ def solve_closed(mesh, f, opts, extra_starts=None):
     """
     if mesh.boundary.any():
         raise MeshError("solve_closed needs a closed mesh")
-    return _solve(mesh, f, opts, dirichlet=False, extra_starts=extra_starts)
+    return _solve(mesh, f, opts, extra_starts=extra_starts)
 
 
 def solve_neumann(mesh, f, opts, extra_starts=None):
@@ -810,7 +776,7 @@ def solve_neumann(mesh, f, opts, extra_starts=None):
     the p = 2 eigensolve as in solve_closed."""
     if not mesh.boundary.any():
         raise MeshError("solve_neumann needs a mesh with boundary")
-    return _solve(mesh, f, opts, dirichlet=False, extra_starts=extra_starts)
+    return _solve(mesh, f, opts, extra_starts=extra_starts)
 
 
 def solve_dirichlet(mesh, opts, extra_starts=None):
@@ -819,7 +785,8 @@ def solve_dirichlet(mesh, opts, extra_starts=None):
     solve_closed, on the free vertices."""
     if not mesh.boundary.any():
         raise MeshError("solve_dirichlet needs a mesh with boundary")
-    return _solve(mesh, None, opts, dirichlet=True, extra_starts=extra_starts)
+    return _solve(mesh, np.ones(mesh.n_vertices), opts, mesh.boundary,
+                  extra_starts)
 
 
 # -- even reflection ----------------------------------------------------------

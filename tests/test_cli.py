@@ -95,6 +95,19 @@ class TestEigen:
         assert ("error: p = 2 eigensolve failed: Factor is exactly singular"
                 in result.output)
 
+    @pytest.mark.parametrize("value", [1e300, 1e-300])
+    def test_failed_arpack_run_exits_one(self, tmp_path, outdir, value):
+        # the scaled pencil leaves ARPACK no Arnoldi factorization
+        cfg = write_config(tmp_path / "c.json", {
+            "mesh": {"kind": "circle", "n": 20, "length": 2 * np.pi},
+            "p": 2.0, "factor": {"kind": "constant", "value": value},
+            "problem": "closed", "seed": 0,
+        })
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert "error: p = 2 eigensolve failed: " in result.output
+        assert "Traceback" not in result.output
+
     def test_empty_off_mesh_exits_one(self, tmp_path, outdir):
         (tmp_path / "empty.off").write_text("OFF\n0 0 0\n")
         cfg = write_config(tmp_path / "bad.json", {
@@ -196,10 +209,14 @@ class TestVerifyBound:
         return run(["verify-bound", "--config", cfg, "--out", str(outdir)])
 
     def test_invalid_solver_block_exits_one(self, tmp_path, outdir):
-        result = self._level2_p15(tmp_path, outdir, {"bogus_key": 3})
-        assert result.exit_code == 1
-        assert "error: invalid solver config" in result.output
-        assert "Traceback" not in result.output
+        # NaN parses as JSON and fails no "< 0" comparison
+        for solver, message in [
+                ({"bogus_key": 3}, "invalid solver config"),
+                ({"delta": float("nan")}, "delta must be nonnegative")]:
+            result = self._level2_p15(tmp_path, outdir, solver)
+            assert result.exit_code == 1
+            assert f"error: {message}" in result.output
+            assert "Traceback" not in result.output
 
     def test_solver_block_is_used(self, tmp_path):
         lams = []

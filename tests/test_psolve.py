@@ -19,13 +19,17 @@ from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       solve_closed, solve_dirichlet, solve_neumann,
                       split_band_plateau)
 from pspectra import psolve
-from pspectra.psolve import (_TINY, _dirichlet_problem, _gram_inverse,
-                             _p2_eigenvector, quotient_gradient,
-                             weighted_problem)
+from pspectra.psolve import (_TINY, _gram_inverse, _p2_eigenvector,
+                             quotient_gradient, weighted_problem)
 
 
 def ones(mesh):
     return np.ones(mesh.n_vertices)
+
+
+def dirichlet_problem(mesh, p):
+    """The problem solve_dirichlet solves: f = 1, boundary pinned to zero."""
+    return weighted_problem(mesh, ones(mesh), p, mesh.boundary)
 
 
 class TestRayleighQuotient:
@@ -80,7 +84,7 @@ class TestPShift:
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1.1, 6.0), st.integers(0, 2 ** 31 - 1))
-    # root next to a data value, where unguarded Newton steps used to crawl
+    # root next to a data value, where the balance has a kink
     @example(1.25, 2691)
     def test_balance_root_property(self, p, seed):
         rng = np.random.default_rng(seed)
@@ -111,6 +115,35 @@ class TestPShift:
     def test_constant_degenerate(self):
         with pytest.raises(DegenerateFieldError):
             p_shift(np.full(5, 3.0), np.ones(5), 2.5)
+
+    @pytest.mark.parametrize("p", [1.3, 3.0, 6.0])
+    def test_zero_weights_leave_the_bracket(self, p):
+        u = np.array([-10.0, -1.0, 1.0, 2.0, 50.0])
+        c = p_shift(u, np.array([0.0, 1.0, 1.0, 1.0, 0.0]), p)
+        assert -1.0 <= c <= 2.0
+
+    @pytest.mark.parametrize("p", [1.3, 3.0, 6.0])
+    def test_affine_equivariance(self, p):
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal(40)
+        w = rng.random(40) + 0.05
+        c = p_shift(u, w, p)
+        span = u.max() - u.min()
+        for a in (0.25, 3.7):
+            for b in (0.0, 5.0):
+                assert p_shift(a * u + b, w, p) == pytest.approx(
+                    a * c + b, abs=1e-12 * a * span)
+
+    @pytest.mark.parametrize("p", [1.3, 3.0, 6.0])
+    def test_weight_scaling(self, p):
+        rng = np.random.default_rng(12)
+        u = rng.standard_normal(40)
+        w = rng.random(40) + 0.05
+        c = p_shift(u, w, p)
+        # a power of two scales every balance value exactly
+        assert p_shift(u, 4.0 * w, p) == c
+        assert p_shift(u, 3.7 * w, p) == pytest.approx(
+            c, abs=1e-13 * (u.max() - u.min()))
 
 
 def sign_split_shift(u, weights, p):
@@ -629,20 +662,6 @@ class DescentProblem:
     def __getattr__(self, name):
         return getattr(self._prob, name)
 
-    def project(self, u, c0=None):
-        """Pin/shift/renormalize a candidate onto the feasible set."""
-        if self.fixed is not None:
-            u = u.copy()
-            u[self.fixed] = 0.0
-            c = 0.0
-        else:
-            c = p_shift(u, self.rho, self.p, c0=c0)
-            u = u - c
-        den = self.denominator(u)
-        if den <= _TINY:
-            raise DegenerateFieldError("degenerate start field")
-        return u / den ** (1.0 / self.p), c
-
     def num_and_grad(self, u, reg, with_coef=False):
         num, grad = self._prob.num_and_grad(u, reg)
         if not with_coef:
@@ -703,7 +722,7 @@ def _descend(prob, u, reg, max_iter, tol, res_target, history):
     residual is small.
     """
     p = prob.p
-    u, c = prob.project(u)
+    u = prob.project(u)
     num, grad_n, coef = prob.num_and_grad(u, reg, with_coef=True)
     den = prob.denominator(u)
     quotient = num / den
@@ -781,7 +800,7 @@ def _descend(prob, u, reg, max_iter, tol, res_target, history):
                     trial_step = min(bb, 1e8)
         accepted = False
         for _ in range(45):
-            trial, c = prob.project(u - trial_step * d, c0=c)
+            trial = prob.project(u - trial_step * d)
             num_t = prob.numerator(trial, reg)
             den_t = prob.denominator(trial)
             q_t = num_t / den_t
@@ -824,7 +843,7 @@ def _dirichlet_bump(mesh):
 
 
 def _run_one_start(prob, u0, opts, budget):
-    u, _ = prob.project(np.asarray(u0, dtype=float))
+    u = prob.project(np.asarray(u0, dtype=float))
     gscale = float(np.mean(prob.gradsq(u)))
     s2 = gscale if gscale > 0 else 1.0
     history = []
@@ -858,7 +877,7 @@ def _p2_case(kind, sphere3):
         return (lambda: solve_neumann(hemi, f_h, opts),
                 weighted_problem(hemi, f_h, 2.0), hemi.vertices[:, 0])
     iv = build_interval(200, -1.0, 1.0)
-    return (lambda: solve_dirichlet(iv, opts), _dirichlet_problem(iv, 2.0),
+    return (lambda: solve_dirichlet(iv, opts), dirichlet_problem(iv, 2.0),
             _dirichlet_bump(iv))
 
 
@@ -948,9 +967,9 @@ def _layout_problem(kind, sphere3, csv_interval):
     if kind == "neumann":
         return weighted_problem(hemi, f[hemi.parent_index], p)
     if kind == "dirichlet-hemisphere":
-        return _dirichlet_problem(hemi, p)
+        return dirichlet_problem(hemi, p)
     if kind == "interval":
-        return _dirichlet_problem(build_interval(60, -1.0, 1.0), p)
+        return dirichlet_problem(build_interval(60, -1.0, 1.0), p)
     if kind == "circle":
         mesh = build_circle(80, 2.0 * np.pi)
         return weighted_problem(mesh, np.exp(np.sin(mesh.vertices)), p)
@@ -1066,7 +1085,7 @@ def _newton_case(kind, sphere2):
     if kind == "interval":
         iv = build_interval(200, -1.0, 1.0)
         return (solve_dirichlet(iv, SolveOptions(p=1.5, **tight)),
-                _dirichlet_problem(iv, 1.5), _dirichlet_bump(iv))
+                dirichlet_problem(iv, 1.5), _dirichlet_bump(iv))
     p = {"sphere-1.5": 1.5, "sphere-3": 3.0}[kind]
     f = random_smooth_factor(sphere2, seed=7, amplitude=0.8)
     return (solve_closed(sphere2, f, SolveOptions(p=p, **tight)),
