@@ -130,6 +130,9 @@ def random_smooth_factor(mesh, seed, amplitude=1.0, symmetric=False):
     With ``symmetric=True`` only even-in-z terms are used, so the factor is
     invariant under reflection across the pole's equator.
     """
+    if mesh.dim == 1 and mesh.length is None:
+        raise ValueError("a random_smooth factor needs a circle, icosphere "
+                         "or hemisphere mesh")
     rng = np.random.default_rng(seed)
     basis = _harmonic_basis(mesh.vertices) if mesh.dim == 2 else None
     if basis is None:

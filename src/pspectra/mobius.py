@@ -3,7 +3,8 @@ energy bound.
 
 The non-isometric part of the sphere's conformal group is the family of
 dilations gamma(a, t): conjugate a Euclidean dilation of factor
-e^((1-t)/t) by the stereographic projection of pole a. Rotations are
+e^((1-t)/t) by the stereographic projection of pole a, which is the
+Lorentz boost of rapidity (1-t)/t along a on the light cone. Rotations are
 omitted everywhere: they are isometries of the round metric, so pullback
 volumes and the feasibility of moment balancing are unaffected.
 """
@@ -54,10 +55,6 @@ class MobiusMap:
     def log_dilation(self):
         return (1.0 - self.t) / self.t
 
-    @property
-    def dilation(self):
-        return math.exp(min(self.log_dilation, 700.0))
-
     def inverse(self):
         """The inverse dilation: same t, pole flipped to the antipode.
 
@@ -69,45 +66,33 @@ class MobiusMap:
     def apply(self, x):
         """Apply the map to points of the sphere (vectorized).
 
-        Computed via reciprocal chart radii so that arbitrarily large
-        dilation factors saturate smoothly at the pole instead of
-        overflowing.
+        The dilation is the Lorentz boost of rapidity kappa = log_dilation
+        along a: with s = x.a, w = x - s a, c = 1 + s and e = 1 - tanh kappa
+        the image is ((c - e) a + sech(kappa) w) / (c - s e), which turns the
+        angle theta to a into 2 atan(e^-kappa tan(theta/2)). As kappa grows,
+        e and sech kappa underflow to 0 and the image saturates at a.
         """
-        a = np.asarray(self.pole)
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.t == 1.0:
             out = x.copy()
             return out[0] if single else out
-        # Points are columns here, so every elementwise pass runs along one
-        # long axis. With s = x.a, the tangential part x - s a has the
-        # direction of the chart vector (carried back by the chart frame)
-        # and, over 1 - s, its norm u.
+        a = self.pole
+        q = math.exp(-2.0 * self.log_dilation)
+        e, sech = 2.0 * q / (1.0 + q), 2.0 * math.sqrt(q) / (1.0 + q)
+        # points are columns, so every elementwise pass runs along one long
+        # axis; for s < 0, c = |w|^2 / (1 - s) keeps the digits of 1 + s
         xt = x.T
         s = a @ xt
-        denom = 1.0 - s
-        at_pole = denom <= 1e-15
-        tang = xt - a[:, None] * s
-        norm_t = np.sqrt(np.einsum("ij,ij->j", tang, tang))
-        u = norm_t / np.where(at_pole, 1.0, denom)
-        at_antipode = u <= 1e-300
-        kappa = self.log_dilation
-        # rho = e^kappa * u, handled through r = min(rho, 1/rho) so that it
-        # never overflows
-        log_rho = kappa + np.log(np.maximum(u, 1e-300))
-        r = np.exp(-np.abs(log_rho))
-        rr = r * r
-        # rho > 1: r = 1/rho -> coef_w = 2r/(1+r^2), coef_a = (1-r^2)/(1+r^2)
-        # rho <= 1: r = rho -> coef_w = 2r/(1+r^2), coef_a = -(1-r^2)/(1+r^2)
-        # coef_w also divides the tangential part by its norm
-        coef_w = 2.0 * r / (1.0 + rr) / np.maximum(norm_t, 1e-300)
-        coef_a = (1.0 - rr) / (1.0 + rr) * np.where(log_rho > 0.0, 1.0, -1.0)
-        out = coef_w * tang + a[:, None] * coef_a
-        # the fixed points exactly; x = a can leave a zero tangential part,
-        # so the pole is assigned last
-        out[:, at_antipode] = -a[:, None]
-        out[:, at_pole] = a[:, None]
-        out /= np.sqrt(np.einsum("ij,ij->j", out, out))
+        w = xt - a[:, None] * s
+        c = np.where(s < 0.0, np.einsum("ij,ij->j", w, w) / (1.0 + np.abs(s)),
+                     1.0 + s)
+        den = c - s * e
+        out = a[:, None] * (c - e) + sech * w
+        # den = 0 only once e and c underflow, within 1e-162 of the fixed -a
+        fixed = den == 0.0
+        out[:, fixed], den[fixed] = -a[:, None], 1.0
+        out /= den
         return out.T[0] if single else out.T
 
     def to_json(self):

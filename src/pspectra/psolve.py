@@ -499,6 +499,7 @@ class _Problem:
             grad[self.fixed] = 0.0
             return grad
         normal = self.normal(u)
+        normal = np.ldexp(normal, -np.frexp(np.max(normal))[1])
         norm = np.linalg.norm(normal)
         if norm <= _TINY:
             return grad
@@ -558,16 +559,22 @@ def _p2_eigenvector(prob):
         u[free] = 1.0
         return u
     v0 = np.random.default_rng(0).standard_normal(free.size)
+    # K by 2^-k and rho by 4^-b (exact) bring the pencil to unit scale; the
+    # rho-normalized eigenvector then carries a factor 2^b
+    blocks = prob.stiffness_blocks()
+    blocks = np.ldexp(blocks, -np.frexp(np.max(np.abs(blocks)))[1])
+    b = np.frexp(np.max(prob.rho))[1] // 2
+    rho = np.ldexp(prob.rho, -2 * b)
     try:
-        solve = layout.solver(prob.stiffness_blocks(), np.zeros_like(u),
-                              prob.rho if closed else None)
+        solve = layout.solver(blocks, np.zeros_like(u),
+                              rho if closed else None)
         # shift-invert eigsh reads only the shape of its matrix argument
         op = LinearOperator((free.size, free.size), matvec=solve, dtype=float)
-        _, vecs = eigsh(op, k=1, M=diags(prob.rho[free]), sigma=0.0, v0=v0,
+        _, vecs = eigsh(op, k=1, M=diags(rho[free]), sigma=0.0, v0=v0,
                         OPinv=op)
     except RuntimeError as exc:  # splu: a zero pivot; eigsh: ArpackError
         raise ConvergenceError(f"p = 2 eigensolve failed: {exc}") from exc
-    u[free] = vecs[:, 0]
+    u[free] = np.ldexp(vecs[:, 0], -b)
     return u
 
 
@@ -593,8 +600,10 @@ def _regularization(prob, u, delta):
 def _residual(prob, u, r, grad_n):
     """Norm of r = grad N - R grad D (the quotient gradient times D)
     projected on the feasible directions, relative to |grad N|."""
-    return float(np.linalg.norm(prob.tangent(u, r)) /
-                 max(np.linalg.norm(grad_n), _TINY))
+    # both scaled by a power of two that brings max|grad N| near 1
+    k = -np.frexp(np.max(np.abs(grad_n)))[1]
+    return float(np.linalg.norm(prob.tangent(u, np.ldexp(r, k))) /
+                 max(np.linalg.norm(np.ldexp(grad_n, k)), _TINY))
 
 
 def _newton_step(prob, u, sigma, reg, r, grad_d, layout):

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackError
 
 from pspectra import bounds, build_icosphere, mobius, psolve
 from pspectra.cli import _sweep_case, main
@@ -95,12 +96,39 @@ class TestEigen:
         assert ("error: p = 2 eigensolve failed: Factor is exactly singular"
                 in result.output)
 
-    @pytest.mark.parametrize("value", [1e300, 1e-300])
-    def test_failed_arpack_run_exits_one(self, tmp_path, outdir, value):
-        # the scaled pencil leaves ARPACK no Arnoldi factorization
+    @pytest.mark.parametrize("mesh, problem", [
+        ({"kind": "circle", "n": 20, "length": 2 * np.pi}, "closed"),
+        ({"kind": "icosphere", "level": 2}, "closed"),
+        ({"kind": "hemisphere", "level": 3}, "neumann")],
+        ids=["circle", "icosphere", "hemisphere"])
+    def test_p2_eigenvalue_scales_with_the_factor(self, tmp_path, mesh,
+                                                  problem):
+        # lambda c is the same for every constant factor c, up to round-off
+        lam_c = {}
+        for value in [1e-300, 1e-200, 1e-150, 1.0, 1e200, 1e300]:
+            out = tmp_path / f"out{value:g}"
+            cfg = write_config(tmp_path / "c.json", {
+                "mesh": mesh, "p": 2.0,
+                "factor": {"kind": "constant", "value": value},
+                "problem": problem, "seed": 0,
+            })
+            result = run(["eigen", "--config", cfg, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            payload = json.loads((out / "results.json").read_text())
+            assert payload["converged"]
+            lam_c[value] = payload["lambda"] * value
+        for value, got in lam_c.items():
+            assert got == pytest.approx(lam_c[1.0], rel=1e-12), value
+
+    def test_failed_arpack_run_exits_one(self, tmp_path, outdir,
+                                         monkeypatch):
+        def failing(*args, **kwargs):
+            raise ArpackError(-9999)
+
+        monkeypatch.setattr(psolve, "eigsh", failing)
         cfg = write_config(tmp_path / "c.json", {
             "mesh": {"kind": "circle", "n": 20, "length": 2 * np.pi},
-            "p": 2.0, "factor": {"kind": "constant", "value": value},
+            "p": 2.0, "factor": {"kind": "constant"},
             "problem": "closed", "seed": 0,
         })
         result = run(["eigen", "--config", cfg, "--out", str(outdir)])
@@ -471,18 +499,20 @@ class TestMalformedConfig:
         assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("mesh, direction", [
-    (EIGEN_CIRCLE["mesh"], [1.0, 0.0]),
-    ({"kind": "icosphere", "level": 1}, [0.0, 0.0, 0.0]),
-])
-def test_bad_cap_direction_exits_one(tmp_path, outdir, mesh, direction):
+@pytest.mark.parametrize("mesh, factor, word", [
+    (EIGEN_CIRCLE["mesh"], {"kind": "cap", "direction": [1.0, 0.0]}, "cap"),
+    ({"kind": "icosphere", "level": 1},
+     {"kind": "cap", "direction": [0.0, 0.0, 0.0]}, "cap"),
+    ({"kind": "interval", "n": 20, "a": -1.0, "b": 1.0},
+     {"kind": "random_smooth", "seed": 1}, "random_smooth"),
+], ids=["cap-on-circle", "zero-cap-direction", "random_smooth-on-interval"])
+def test_unusable_factor_exits_one(tmp_path, outdir, mesh, factor, word):
     cfg = write_config(tmp_path / "c.json", {
-        **EIGEN_CIRCLE, "mesh": mesh,
-        "factor": {"kind": "cap", "direction": direction}})
+        **EIGEN_CIRCLE, "mesh": mesh, "factor": factor})
     result = run(["eigen", "--config", cfg, "--out", str(outdir)])
     assert result.exit_code == 1
     assert "error: " in result.output
-    assert "cap" in result.output.split("error: ", 1)[1]
+    assert word in result.output.split("error: ", 1)[1]
     assert "Traceback" not in result.output
 
 

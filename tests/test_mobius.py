@@ -173,6 +173,28 @@ class TestMobiusMap:
                                           - chart_apply(g, pts)).max())
         assert worst <= 1e-12
 
+    def test_half_angle_law(self):
+        # the image of a point at angle theta from the pole lies at angle
+        # 2 atan(e^-kappa tan(theta/2)), also within 1e-12 of the pole
+        a = unit([0.3, -0.4, 0.85])
+        perp = unit(np.cross(a, [1.0, 0.0, 0.0]))
+        theta = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.5, 2.0, 3.0])
+        x = np.cos(theta)[:, None] * a + np.sin(theta)[:, None] * perp
+        for t in [0.9, 0.5, 0.05, 1e-3]:
+            g = MobiusMap(a, t)
+            y = g.apply(x)
+            got = np.arctan2(y @ perp, y @ a)
+            want = 2.0 * np.arctan(np.exp(-g.log_dilation)
+                                   * np.tan(theta / 2.0))
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_saturated_fixed_points(self):
+        # at t = 1e-6 every coefficient but the pole's underflows; -a stays
+        # fixed (a.a == 1 exactly, so x = -a has a zero tangential part)
+        a = unit([0.0, 0.6, 0.8])
+        y = MobiusMap(a, 1e-6).apply(np.array([a, -a, unit([1.0, 0.0, 0.0])]))
+        assert np.array_equal(y, [a, -a, a])
+
     def test_image_on_sphere(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((500, 3))
