@@ -396,12 +396,17 @@ def verify_bound(cfg, outdir, jobs):
     mesh = build_mesh(_get(cfg, "mesh", dict))
     opts = solve_options(cfg, residual_target=1e-3, max_iterations=9000)
     seed = _get(cfg, "seed", int, 0)
+    n_factors = _get(cfg, "n_factors", int, 5)
+    slack = _get(cfg, "slack", float, bounds_mod.MESH_SLACK)
+    if n_factors < 0:
+        raise ConfigError("config key 'n_factors' must be nonnegative")
+    if not 0.0 <= slack < np.inf:
+        raise ConfigError("config key 'slack' must be finite and nonnegative")
     shared = (_get(cfg, "amplitude", float, 1.0),
               _get(cfg, "source", str, "conformal_volume"),
               _get(cfg, "genus", int, 0), _get(cfg, "orientable", bool, True),
-              _get(cfg, "slack", float, bounds_mod.MESH_SLACK))
-    factor_seeds = [None] + [seed + i for i in
-                             range(_get(cfg, "n_factors", int, 5))]
+              slack)
+    factor_seeds = [None] + [seed + i for i in range(n_factors)]
     cases = [(mesh, opts, s) + shared for s in factor_seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -81,10 +81,12 @@ class MobiusMap:
         q = math.exp(-2.0 * self.log_dilation)
         e, sech = 2.0 * q / (1.0 + q), 2.0 * math.sqrt(q) / (1.0 + q)
         # points are columns, so every elementwise pass runs along one long
-        # axis; for s < 0, c = |w|^2 / (1 - s) keeps the digits of 1 + s
+        # axis; for s < 0, c = |w|^2 / (1 - s) keeps the digits of 1 + s.
+        # Dividing by a.a, which is 1 only up to rounding, makes w exactly 0
+        # at x = -a, the fixed antipode
         xt = x.T
         s = a @ xt
-        w = xt - a[:, None] * s
+        w = xt - a[:, None] * (s / (a @ a))
         c = np.where(s < 0.0, np.einsum("ij,ij->j", w, w) / (1.0 + np.abs(s)),
                      1.0 + s)
         den = c - s * e

@@ -69,7 +69,7 @@ class DegenerateFieldError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a root bracket or shooting iteration cannot be completed."""
+    """Raised when a root bracket or a shooting run cannot be completed."""
 
 
 @dataclass
@@ -943,31 +943,18 @@ def split_band_plateau(profile, eps, p=None):
 
 # -- 1-D shooting oracle -------------------------------------------------------
 
-def _p_sine_half_period(p):
-    # first Dirichlet eigenvalue of the 1-D p-Laplacian on (-1, 1)
-    pi_p = 2.0 * np.pi / (p * math.sin(np.pi / p))
-    return (p - 1.0) * (pi_p / 2.0) ** p
+def shooting_eigenvalue_1d(p, mode, halfwidth):
+    """First 1-D eigenvalue on (-halfwidth, halfwidth) by the p-sine time map.
 
-
-def shooting_eigenvalue_1d(p, mode, halfwidth, tol=1e-10):
-    """First 1-D eigenvalue on (-halfwidth, halfwidth) by shooting.
-
-    Dirichlet: integrate from the left boundary with u = 0, u' = 1; the
-    eigenvalue is a root of u at the right boundary (no parity assumed).
-    Neumann: the first eigenfunction is odd, integrate from the center with
-    u = 0, u' = 1; the eigenvalue is a root of the flux at the boundary.
-
-    One Brent root solve (Brent, Algorithms for Minimization without
-    Derivatives, 1973) runs in [g/2, 2g], g = (p-1)(pi_p/2h)^p the exact
-    p-sine value (Drabek & Manasevich, Differential Integral Equations 12,
-    1999). The next eigenvalue is 2^p g (Dirichlet) or 3^p g (the odd
-    Neumann mode), above 2g for every p > 1, so the first eigenvalue is the
-    only sign change of the endpoint value in that bracket. A bracket with
-    no sign change, a root solve that does not converge, a boundary
-    residual above `tol` (relative to the largest |u|, |u'|) or a sign
-    change of u inside (a root that is not the first eigenvalue) raises
-    ConvergenceError. The root's own integration, one of brentq's, gives
-    these checks.
+    The equation -(|u'|^(p-2) u')' = lam |u|^(p-2) u is (p-1)-homogeneous:
+    u(c t) solves it at lam = c^p when u solves it at lam = 1 (Drabek &
+    Manasevich, Differential Integral Equations 12, 1999). One integration
+    at lam = 1 from (u, |u'|^(p-2) u') = (0, 1) runs to the first zero of u
+    (Dirichlet: the half period T, so lam = (T / 2h)^p) or of the flux (the
+    odd Neumann mode: the quarter period T, so lam = (T / h)^p). Energy
+    conservation bounds the quarter period by p (p-1)^(1/p-1); the span is
+    twice the resulting half-period bound. A run that fails or ends without
+    the zero raises ConvergenceError.
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -976,40 +963,22 @@ def shooting_eigenvalue_1d(p, mode, halfwidth, tol=1e-10):
     if halfwidth <= 0:
         raise ValueError("halfwidth must be positive")
     q = 1.0 / (p - 1.0)
-    end = 0 if mode == "dirichlet" else 1
-    runs = {}  # every integration brentq asked for, by lam
+    end, length = ((0, 2.0 * halfwidth) if mode == "dirichlet"
+                   else (1, halfwidth))
 
-    def endpoint(lam):
-        def rhs(_, y):
-            u, v = y
-            return (math.copysign(abs(v) ** q, v),
-                    -lam * math.copysign(abs(u) ** (p - 1.0), u))
-        t0 = -halfwidth if mode == "dirichlet" else 0.0
-        sol = solve_ivp(rhs, (t0, halfwidth), (0.0, 1.0), method="DOP853",
-                        rtol=1e-12, atol=1e-14)
-        if not sol.success:
-            raise ConvergenceError(f"ODE integration failed: {sol.message}")
-        runs[lam] = sol.y
-        return sol.y[end, -1]
+    def rhs(_, y):
+        u, v = y
+        return (math.copysign(abs(v) ** q, v),
+                -math.copysign(abs(u) ** (p - 1.0), u))
 
-    guess = _p_sine_half_period(p) / halfwidth ** p
-    try:
-        lam, info = brentq(endpoint, 0.5 * guess, 2.0 * guess, xtol=_TINY,
-                           rtol=1e-14, full_output=True, disp=False)
-    except ValueError as exc:  # brentq: no sign change in the bracket
-        raise ConvergenceError(f"shooting root solve failed: {exc}") from exc
-    if not info.converged:
-        raise ConvergenceError(f"shooting root solve failed: {info.flag}")
-    y = runs[lam]  # brentq returns a point it evaluated
-    scale = max(np.max(np.abs(y)), _TINY)
-    if abs(y[end, -1]) / scale > tol:
-        raise ConvergenceError("boundary residual above tolerance")
-    # the first eigenfunction has no zero inside the Dirichlet interval, nor
-    # on (0, h] in the odd Neumann mode; |u| up to tol * scale counts as zero
-    u = y[0, 1:]
-    signs = np.sign(u[np.abs(u) > tol * scale])
-    if np.count_nonzero(signs[1:] != signs[:-1]):
-        raise ConvergenceError("shooting root is not the first eigenvalue: "
-                               "u changes sign")
-    return lam
+    def zero(_, y):
+        return y[end]
+    # the direction skips the zero of u at t = 0
+    zero.terminal, zero.direction = True, -1
+    sol = solve_ivp(rhs, (0.0, 4.0 * p * (p - 1.0) ** (1.0 / p - 1.0)),
+                    (0.0, 1.0), method="DOP853", rtol=1e-12, atol=1e-14,
+                    events=zero)
+    if sol.status != 1:
+        raise ConvergenceError(f"shooting integration failed: {sol.message}")
+    return float((sol.t_events[0][0] / length) ** p)
 

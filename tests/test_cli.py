@@ -246,6 +246,18 @@ class TestVerifyBound:
             assert f"error: {message}" in result.output
             assert "Traceback" not in result.output
 
+    # a negative count ran the round case alone; a NaN or negative slack
+    # flagged every case as a violated bound
+    @pytest.mark.parametrize("key,value", [
+        ("n_factors", -2), ("slack", float("nan")), ("slack", -0.5)])
+    def test_malformed_batch_exits_one(self, tmp_path, outdir, key, value):
+        cfg = write_config(tmp_path / "vb.json", {
+            "mesh": {"kind": "icosphere", "level": 1}, "p": 2.0, key: value})
+        result = run(["verify-bound", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert f"error: config key '{key}'" in result.output
+        assert "Traceback" not in result.output
+
     def test_solver_block_is_used(self, tmp_path):
         lams = []
         for solver in (None, {"max_iterations": 1}):

@@ -190,10 +190,18 @@ class TestMobiusMap:
 
     def test_saturated_fixed_points(self):
         # at t = 1e-6 every coefficient but the pole's underflows; -a stays
-        # fixed (a.a == 1 exactly, so x = -a has a zero tangential part)
+        # fixed
         a = unit([0.0, 0.6, 0.8])
         y = MobiusMap(a, 1e-6).apply(np.array([a, -a, unit([1.0, 0.0, 0.0])]))
         assert np.array_equal(y, [a, -a, a])
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 1e-2, 0.1, 0.5])
+    def test_antipode_fixed_for_inexact_pole(self, t):
+        # a.a = 1 - 1.1e-16 in floats; x = -a must still have a zero
+        # tangential part, or the image drifts towards a as t shrinks
+        a = unit([0.4, 0.1, 0.9])
+        assert a @ a != 1.0
+        assert np.abs(MobiusMap(a, t).apply(-a) + a).max() <= 4.4e-16
 
     def test_image_on_sphere(self):
         rng = np.random.default_rng(2)

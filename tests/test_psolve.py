@@ -501,26 +501,17 @@ class TestShootingOracle:
         for h in (1.0, 0.5, 0.25, 0.125, 0.1)] + [
         ("neumann", 2.0, 0.5), ("neumann", 1.5, 1.0), ("neumann", 3.0, 1.0)])
     def test_integrations_per_call(self, monkeypatch, mode, p, halfwidth):
-        # Brent's method takes 9-16; a bisection to 1e-14 takes about 50.
-        # The checks of the root reuse its integration: none besides
-        # brentq's own
-        solve_ivp, brentq = psolve.solve_ivp, psolve.brentq
-        calls, evaluations = [0], []
+        # one integration at lam = 1 to the first zero gives every halfwidth
+        solve_ivp, calls = psolve.solve_ivp, [0]
 
         def counting_solve_ivp(*args, **kwargs):
             calls[0] += 1
             return solve_ivp(*args, **kwargs)
 
-        def recording_brentq(*args, **kwargs):
-            root, info = brentq(*args, **kwargs)
-            evaluations.append(info.function_calls)
-            return root, info
-
         monkeypatch.setattr(psolve, "solve_ivp", counting_solve_ivp)
-        monkeypatch.setattr(psolve, "brentq", recording_brentq)
-        shooting_eigenvalue_1d(p, mode, halfwidth)
-        assert calls[0] <= 20
-        assert evaluations == [calls[0]]
+        lam = shooting_eigenvalue_1d(p, mode, halfwidth)
+        assert calls[0] == 1
+        assert type(lam) is float
 
     @pytest.mark.parametrize("mode", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 5.0])
@@ -533,26 +524,36 @@ class TestShootingOracle:
             lam = shooting_eigenvalue_1d(p, mode, h)
             assert lam == pytest.approx(exact, rel=1e-12)
 
-    @pytest.mark.parametrize("mode,p", [("dirichlet", 3.0), ("neumann", 2.0)])
-    def test_bracket_without_sign_change(self, monkeypatch, mode, p):
-        # a 3x guess puts the bracket at [1.5, 6] lambda_1, between the
-        # first eigenvalue and the next (8 lambda_1 and 9 lambda_1 here)
-        half_period = psolve._p_sine_half_period
-        monkeypatch.setattr(psolve, "_p_sine_half_period",
-                            lambda q: 3.0 * half_period(q))
-        with pytest.raises(psolve.ConvergenceError):
-            shooting_eigenvalue_1d(p, mode, 1.0)
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(1.05, 10.0), log_h=st.floats(-2.0, 2.0),
+           mode=st.sampled_from(["dirichlet", "neumann"]))
+    def test_closed_form_over_p_and_halfwidth(self, p, log_h, mode):
+        h = 10.0 ** log_h
+        pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
+        exact = (p - 1.0) * (pi_p / (2.0 * h)) ** p
+        lam = shooting_eigenvalue_1d(p, mode, h)
+        assert lam == pytest.approx(exact, rel=1e-11)
 
-    @pytest.mark.parametrize("mode,p", [("dirichlet", 2.0), ("neumann", 1.2)])
-    def test_second_eigenvalue_rejected(self, monkeypatch, mode, p):
-        # a 3x guess puts the bracket at [1.5, 6] lambda_1, around the next
-        # eigenvalue (4 lambda_1 and 3^1.2 lambda_1 = 3.7 lambda_1 here),
-        # where brentq converges
-        half_period = psolve._p_sine_half_period
-        monkeypatch.setattr(psolve, "_p_sine_half_period",
-                            lambda q: 3.0 * half_period(q))
-        with pytest.raises(psolve.ConvergenceError, match="first eigenvalue"):
-            shooting_eigenvalue_1d(p, mode, 1.0)
+    @pytest.mark.parametrize("mode", ["dirichlet", "neumann"])
+    def test_run_without_zero(self, monkeypatch, mode):
+        # a span too short for the first zero: the run ends with status 0
+        solve_ivp = psolve.solve_ivp
+
+        def short_solve_ivp(rhs, span, *args, **kwargs):
+            sol = solve_ivp(rhs, (0.0, 0.5), *args, **kwargs)
+            assert sol.status == 0
+            return sol
+
+        monkeypatch.setattr(psolve, "solve_ivp", short_solve_ivp)
+        with pytest.raises(psolve.ConvergenceError):
+            shooting_eigenvalue_1d(2.0, mode, 1.0)
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "neumann"])
+    def test_failed_integration(self, monkeypatch, mode):
+        failed = SimpleNamespace(status=-1, message="step size too small")
+        monkeypatch.setattr(psolve, "solve_ivp", lambda *a, **k: failed)
+        with pytest.raises(psolve.ConvergenceError, match="too small"):
+            shooting_eigenvalue_1d(2.0, mode, 1.0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
