@@ -145,10 +145,6 @@ class DiscreteManifold:
     def total_measure(self):
         return float(self.element_measure.sum())
 
-    @property
-    def boundary_vertices(self):
-        return np.flatnonzero(self.boundary)
-
     @cached_property
     def vertex_measure(self):
         """Lumped vertex measure: each element spreads its measure evenly."""

@@ -69,7 +69,8 @@ class DegenerateFieldError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a root bracket or a shooting run cannot be completed."""
+    """Raised when an eigensolve or a shooting run fails, or when the
+    eigenvalue of a factor lies outside the positive float range."""
 
 
 @dataclass
@@ -117,18 +118,19 @@ class SolveOptions:
 class SpectralResult:
     """Solver output: eigenvalue estimate plus convergence diagnostics.
 
-    The eigenfunction is normalized so the weighted p-norm integral is one;
-    constraint_defect is the weighted p-mean of the eigenfunction (zero for
-    admissible fields), gradient_residual the norm of the projected quotient
-    gradient relative to the numerator gradient scale, and converged whether
-    it meets the residual target. iterations counts the Newton systems
-    solved, restarts the supplied starts solved besides the continuation
-    path. stop_reason is "eigensolve" at p = 2, otherwise why the Newton run
-    of the result stopped: "residual", "round_off" (its quotient stopped
-    changing beyond round-off first), "line_search_floor" or
-    "max_iterations". history holds the regularized quotient at the start
-    of that run and after each accepted step (nonincreasing; empty at
-    p = 2).
+    Each Newton run returns one for its last iterate; a solve returns the
+    chosen run's, with the totals of all its runs. The eigenfunction is
+    normalized so the weighted p-norm integral is one; constraint_defect is
+    the weighted p-mean of the eigenfunction (zero for admissible fields),
+    gradient_residual the norm of the projected quotient gradient relative
+    to the numerator gradient scale, and converged whether it meets the
+    residual target. iterations counts the Newton systems solved, restarts
+    the supplied starts solved besides the continuation path. stop_reason
+    is "eigensolve" at p = 2, otherwise why the Newton run of the result
+    stopped: "residual", "round_off" (its quotient stopped changing beyond
+    round-off first), "line_search_floor" or "max_iterations". history
+    holds the regularized quotient at the start of that run and after each
+    accepted step (nonincreasing; at p = 2 the eigenvector's alone).
     """
 
     lam: float
@@ -499,7 +501,6 @@ class _Problem:
             grad[self.fixed] = 0.0
             return grad
         normal = self.normal(u)
-        normal = np.ldexp(normal, -np.frexp(np.max(normal))[1])
         norm = np.linalg.norm(normal)
         if norm <= _TINY:
             return grad
@@ -559,22 +560,16 @@ def _p2_eigenvector(prob):
         u[free] = 1.0
         return u
     v0 = np.random.default_rng(0).standard_normal(free.size)
-    # K by 2^-k and rho by 4^-b (exact) bring the pencil to unit scale; the
-    # rho-normalized eigenvector then carries a factor 2^b
-    blocks = prob.stiffness_blocks()
-    blocks = np.ldexp(blocks, -np.frexp(np.max(np.abs(blocks)))[1])
-    b = np.frexp(np.max(prob.rho))[1] // 2
-    rho = np.ldexp(prob.rho, -2 * b)
     try:
-        solve = layout.solver(blocks, np.zeros_like(u),
-                              rho if closed else None)
+        solve = layout.solver(prob.stiffness_blocks(), np.zeros_like(u),
+                              prob.rho if closed else None)
         # shift-invert eigsh reads only the shape of its matrix argument
         op = LinearOperator((free.size, free.size), matvec=solve, dtype=float)
-        _, vecs = eigsh(op, k=1, M=diags(rho[free]), sigma=0.0, v0=v0,
+        _, vecs = eigsh(op, k=1, M=diags(prob.rho[free]), sigma=0.0, v0=v0,
                         OPinv=op)
     except RuntimeError as exc:  # splu: a zero pivot; eigsh: ArpackError
         raise ConvergenceError(f"p = 2 eigensolve failed: {exc}") from exc
-    u[free] = np.ldexp(vecs[:, 0], -b)
+    u[free] = vecs[:, 0]
     return u
 
 
@@ -600,18 +595,17 @@ def _regularization(prob, u, delta):
 def _residual(prob, u, r, grad_n):
     """Norm of r = grad N - R grad D (the quotient gradient times D)
     projected on the feasible directions, relative to |grad N|."""
-    # both scaled by a power of two that brings max|grad N| near 1
-    k = -np.frexp(np.max(np.abs(grad_n)))[1]
-    return float(np.linalg.norm(prob.tangent(u, np.ldexp(r, k))) /
-                 max(np.linalg.norm(np.ldexp(grad_n, k)), _TINY))
+    return float(np.linalg.norm(prob.tangent(u, r)) /
+                 max(np.linalg.norm(grad_n), _TINY))
 
 
-def _newton_step(prob, u, sigma, reg, r, grad_d, layout):
+def _newton_step(prob, u, sigma, reg, r, grad_d):
     """The u part of the solution of the bordered system
     [[H_N - sigma H_D, -grad D], [-grad D', 0]] [du; dlam] = [-r; 0]
     on the free vertices, or None when its factorization meets a zero
     pivot."""
     p = prob.p
+    layout = prob.layout(bordered=True)
     try:
         solve = layout.solver(prob.hessian_blocks(u, reg),
                               -sigma * p * (p - 1.0) * prob.normal(u),
@@ -623,7 +617,7 @@ def _newton_step(prob, u, sigma, reg, r, grad_d, layout):
     return du
 
 
-def _newton(prob, u, reg, budget, target, history):
+def _newton(prob, u, reg, budget, target):
     """Newton's method for the minimum of the regularized quotient R from
     the admissible u, on the bordered system of F(u, lam) =
     (grad N_reg - lam grad D, 1 - D) with lam = R(u).
@@ -636,25 +630,25 @@ def _newton(prob, u, reg, budget, target, history):
     towards a preconditioned gradient step (_DAMPING); a system with a zero
     pivot counts as such a step. A run whose last _FLAT_STEPS accepted
     steps changed R by round-off only stops ("round_off"): the residual
-    target lies below what the arithmetic resolves. R of the start and of
-    every accepted iterate are appended to history, which is therefore
-    nonincreasing. Returns the iterate, the number of systems solved and
-    why the run stopped.
+    target lies below what the arithmetic resolves. Returns the run's
+    SpectralResult: its last iterate with the plain quotient, the residual
+    that stopped the run, the systems solved, why it stopped, and R of the
+    start and of every accepted iterate as history (nonincreasing). A zero
+    budget evaluates the start alone.
     """
-    layout = prob.layout(bordered=True)
-
     def evaluate(v):
         num, grad_n = prob.num_and_grad(v, reg)
         return num, grad_n, prob.denominator(v), prob.den_grad(v)
 
     ev = evaluate(u)
-    history.append(ev[0] / ev[2])
+    history = [ev[0] / ev[2]]
     steps = level = flat = 0
     while True:
         num, grad_n, den, grad_d = ev
         q = num / den
         r = grad_n - q * grad_d
-        if _residual(prob, u, r, grad_n) <= target:
+        residual = _residual(prob, u, r, grad_n)
+        if residual <= target:
             reason = "residual"
             break
         if flat == _FLAT_STEPS:
@@ -664,7 +658,7 @@ def _newton(prob, u, reg, budget, target, history):
             reason = "max_iterations"
             break
         du = _newton_step(prob, u, q * (1.0 - _DAMPING[level]), reg, r,
-                          grad_d, layout)
+                          grad_d)
         steps += 1
         slope = 0.0 if du is None else float(np.dot(r, du)) / den
         t = 1.0
@@ -684,22 +678,13 @@ def _newton(prob, u, reg, budget, target, history):
         flat = flat + 1 if abs(change) <= 4.0 * np.spacing(q) else 0
         u, ev = trial, evaluate(trial)
         history.append(history[-1] + change)
-    return u, steps, reason
-
-
-def _finalize(prob, u, reg, target, history, reason):
-    den = prob.denominator(u)
-    lam = prob.numerator(u, 0.0) / den
-    num, grad_n = prob.num_and_grad(u, reg)
-    residual = _residual(prob, u, grad_n - (num / den) * prob.den_grad(u),
-                         grad_n)
-    defect = prob.constraint_defect(u) if prob.fixed is None else 0.0
     return SpectralResult(
-        lam=float(lam),
+        lam=prob.numerator(u, 0.0) / den,
         eigenfunction=u,
-        constraint_defect=float(defect),
+        constraint_defect=(prob.constraint_defect(u) if prob.fixed is None
+                           else 0.0),
         gradient_residual=residual,
-        iterations=0,
+        iterations=steps,
         restarts=0,
         converged=residual <= target,
         stop_reason=reason,
@@ -723,43 +708,55 @@ def weighted_problem(mesh, f, p, fixed=None):
 
 
 def _solve(mesh, f, opts, fixed=None, extra_starts=None):
+    # the one place that decides the scale: the solve runs on 2^k f, max
+    # 2^k f in [1, 2), and lam(f) = 2^(kp/2) lam(2^k f); the D = 1
+    # eigenfunction of f is that of 2^k f times 2^(km/2p)
+    f = check_conformal_factor(mesh, f)
+    k = 1 - int(np.frexp(np.max(f))[1])
+    f = np.ldexp(f, k)
+    prob = weighted_problem(mesh, f, 2.0, fixed)
+    u = _p2_eigenvector(prob)
     if opts.p == 2.0:
-        prob = weighted_problem(mesh, f, 2.0, fixed)
-        u = prob.project(_p2_eigenvector(prob))
-        return _finalize(prob, u, _regularization(prob, u, opts.delta),
-                         opts.residual_target, [], "eigensolve")
-
-    # the canonical path: from the p = 2 eigenvector in equal steps of p,
-    # each stage with its own regularization level
-    u = _p2_eigenvector(weighted_problem(mesh, f, 2.0, fixed))
-    used = 0
-    qs = np.linspace(2.0, opts.p, _STAGES + 1)[1:]
-    for q in qs:
-        prob = weighted_problem(mesh, f, q, fixed)
         u = prob.project(u)
-        reg = _regularization(prob, u, opts.delta)
-        history = []
-        u, steps, reason = _newton(prob, u, reg, opts.max_iterations - used,
-                                   opts.residual_target, history)
-        used += steps
-    candidates = [_finalize(prob, u, reg, opts.residual_target, history,
-                            reason)]
-    # supplied starts: the final stage only, at its regularization level
-    for start in extra_starts or []:
-        try:
-            u = prob.project(np.asarray(start, dtype=float))
-        except DegenerateFieldError:
-            continue
-        history = []
-        u, steps, reason = _newton(prob, u, reg, opts.max_iterations - used,
-                                   opts.residual_target, history)
-        used += steps
-        candidates.append(_finalize(prob, u, reg, opts.residual_target,
-                                    history, reason))
-    best = min([c for c in candidates if c.converged] or candidates,
-               key=lambda c: c.lam)
-    best.iterations = used
-    best.restarts = len(candidates) - 1
+        best = _newton(prob, u, _regularization(prob, u, opts.delta), 0,
+                       opts.residual_target)
+        best.stop_reason = "eigensolve"
+    else:
+        # the canonical path: from the p = 2 eigenvector in equal steps of
+        # p, each stage with its own regularization level
+        used = 0
+        for q in np.linspace(2.0, opts.p, _STAGES + 1)[1:]:
+            prob = weighted_problem(mesh, f, q, fixed)
+            u = prob.project(u)
+            reg = _regularization(prob, u, opts.delta)
+            run = _newton(prob, u, reg, opts.max_iterations - used,
+                          opts.residual_target)
+            used += run.iterations
+            u = run.eigenfunction
+        runs = [run]
+        # supplied starts: the final stage only, at its regularization level
+        for start in extra_starts or []:
+            try:
+                u = prob.project(np.asarray(start, dtype=float))
+            except DegenerateFieldError:
+                continue
+            runs.append(_newton(prob, u, reg, opts.max_iterations - used,
+                                opts.residual_target))
+            used += runs[-1].iterations
+        best = min([r for r in runs if r.converged] or runs,
+                   key=lambda r: r.lam)
+        best.iterations = used
+        best.restarts = len(runs) - 1
+    with np.errstate(over="ignore", under="ignore"):
+        scale = np.exp2(k * opts.p / 2.0)
+        best.lam = float(best.lam * scale)
+        best.history = [float(h * scale) for h in best.history]
+        best.eigenfunction = best.eigenfunction * np.exp2(
+            k * mesh.dim / (2.0 * opts.p))
+    if not 0.0 < best.lam < math.inf:
+        raise ConvergenceError(
+            f"lambda = {best.lam:g} at this factor's scale: outside the "
+            "positive float range")
     return best
 
 
@@ -779,23 +776,22 @@ def solve_closed(mesh, f, opts, extra_starts=None):
     return _solve(mesh, f, opts, extra_starts=extra_starts)
 
 
-def solve_neumann(mesh, f, opts, extra_starts=None):
+def solve_neumann(mesh, f, opts):
     """Closed-style solve on a mesh with boundary; the natural boundary
-    condition holds weakly, the p-mean constraint is enforced. Starts and
-    the p = 2 eigensolve as in solve_closed."""
+    condition holds weakly, the p-mean constraint is enforced. The p = 2
+    eigensolve and the continuation path as in solve_closed."""
     if not mesh.boundary.any():
         raise MeshError("solve_neumann needs a mesh with boundary")
-    return _solve(mesh, f, opts, extra_starts=extra_starts)
+    return _solve(mesh, f, opts)
 
 
-def solve_dirichlet(mesh, opts, extra_starts=None):
+def solve_dirichlet(mesh, opts):
     """Minimize the unweighted quotient over fields vanishing on the
-    boundary; no shift constraint. Eigensolve and starts as in
+    boundary; no shift constraint. Eigensolve and continuation path as in
     solve_closed, on the free vertices."""
     if not mesh.boundary.any():
         raise MeshError("solve_dirichlet needs a mesh with boundary")
-    return _solve(mesh, np.ones(mesh.n_vertices), opts, mesh.boundary,
-                  extra_starts)
+    return _solve(mesh, np.ones(mesh.n_vertices), opts, mesh.boundary)
 
 
 # -- even reflection ----------------------------------------------------------

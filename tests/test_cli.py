@@ -23,6 +23,13 @@ def write_config(path, payload):
 CIRCLE = {"kind": "circle", "n": 400, "length": 2 * np.pi}
 
 
+SCALE_MESHES = [
+    ({"kind": "circle", "n": 20, "length": 2 * np.pi}, "closed"),
+    ({"kind": "icosphere", "level": 2}, "closed"),
+    ({"kind": "hemisphere", "level": 3}, "neumann")]
+SCALE_MESH_IDS = ["circle", "icosphere", "hemisphere"]
+
+
 @pytest.fixture()
 def outdir(tmp_path):
     return tmp_path / "out"
@@ -96,19 +103,19 @@ class TestEigen:
         assert ("error: p = 2 eigensolve failed: Factor is exactly singular"
                 in result.output)
 
-    @pytest.mark.parametrize("mesh, problem", [
-        ({"kind": "circle", "n": 20, "length": 2 * np.pi}, "closed"),
-        ({"kind": "icosphere", "level": 2}, "closed"),
-        ({"kind": "hemisphere", "level": 3}, "neumann")],
-        ids=["circle", "icosphere", "hemisphere"])
-    def test_p2_eigenvalue_scales_with_the_factor(self, tmp_path, mesh,
-                                                  problem):
-        # lambda c is the same for every constant factor c, up to round-off
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mesh, problem", SCALE_MESHES,
+                             ids=SCALE_MESH_IDS)
+    def test_eigenvalue_scales_with_the_factor(self, tmp_path, mesh, problem,
+                                               p):
+        # lambda c^(p/2) is the same for every constant factor c, up to
+        # round-off; at p = 3, c = 1e+-300 puts lambda out of float range
+        values = [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300]
         lam_c = {}
-        for value in [1e-300, 1e-200, 1e-150, 1.0, 1e200, 1e300]:
+        for value in values[1:-1] if p == 3.0 else values:
             out = tmp_path / f"out{value:g}"
             cfg = write_config(tmp_path / "c.json", {
-                "mesh": mesh, "p": 2.0,
+                "mesh": mesh, "p": p,
                 "factor": {"kind": "constant", "value": value},
                 "problem": problem, "seed": 0,
             })
@@ -116,9 +123,25 @@ class TestEigen:
             assert result.exit_code == 0, result.output
             payload = json.loads((out / "results.json").read_text())
             assert payload["converged"]
-            lam_c[value] = payload["lambda"] * value
+            lam_c[value] = payload["lambda"] * value ** (p / 2.0)
         for value, got in lam_c.items():
             assert got == pytest.approx(lam_c[1.0], rel=1e-12), value
+
+    @pytest.mark.parametrize("value", [1e-300, 1e300])
+    @pytest.mark.parametrize("mesh, problem", SCALE_MESHES,
+                             ids=SCALE_MESH_IDS)
+    def test_eigenvalue_out_of_float_range_exits_one(self, tmp_path, outdir,
+                                                      mesh, problem, value):
+        # lambda = O(c^(-3/2)): 1e450 or 1e-450
+        cfg = write_config(tmp_path / "c.json", {
+            "mesh": mesh, "p": 3.0,
+            "factor": {"kind": "constant", "value": value},
+            "problem": problem, "seed": 0,
+        })
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert "error: lambda = " in result.output
+        assert "Traceback" not in result.output
 
     def test_failed_arpack_run_exits_one(self, tmp_path, outdir,
                                          monkeypatch):
@@ -419,6 +442,22 @@ class TestJobs:
         assert result.exit_code == 0, result.output
         rows = (outdir / "rows.csv").read_text().splitlines()
         assert len(rows) == 4
+
+    def test_parallel_bound_matches_sequential(self, tmp_path):
+        cfg = write_config(tmp_path / "vb.json", {
+            "mesh": {"kind": "icosphere", "level": 2}, "p": 1.5,
+            "n_factors": 3})
+        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            result = run(["verify-bound", "--config", cfg, "--out", str(out),
+                          "--jobs", str(jobs)])
+            assert result.exit_code == 0, result.output
+        # the first line of rows.csv is the generation timestamp
+        rows = [(out / "rows.csv").read_text().splitlines()[1:]
+                for out in outs]
+        assert rows[0] == rows[1]
+        assert ((outs[0] / "results.json").read_bytes()
+                == (outs[1] / "results.json").read_bytes())
 
 
 class TestFileMeshInputs:

@@ -18,7 +18,7 @@ class TestInterval:
         m = build_interval(2, -1.0, 1.0)
         assert np.allclose(m.vertices, [-1.0, 0.0, 1.0])
         assert np.allclose(m.element_measure, [1.0, 1.0])
-        assert set(m.boundary_vertices) == {0, 2}
+        assert set(np.flatnonzero(m.boundary)) == {0, 2}
 
     def test_total_measure(self):
         assert build_interval(4, 0.0, 2.0).total_measure == pytest.approx(2.0)

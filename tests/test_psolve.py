@@ -227,6 +227,20 @@ class TestSolveClosed:
         lam2 = solve_closed(sphere2, c * f, opts).lam
         assert lam2 == pytest.approx(c ** (-p / 2.0) * lam1, rel=1e-6)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_result_belongs_to_the_given_factor(self, sphere2, p):
+        # the solve rescales a factor far from unit scale; its eigenvalue,
+        # history and D = 1 eigenfunction are those of the factor passed
+        f = 1e-200 * random_smooth_factor(sphere2, seed=5, amplitude=0.8)
+        res = solve_closed(sphere2, f, SolveOptions(p=p))
+        prob = weighted_problem(sphere2, f, p)
+        u = res.eigenfunction
+        assert res.converged
+        assert prob.denominator(u) == pytest.approx(1.0, rel=1e-12)
+        assert rayleigh_quotient(sphere2, f, p, u) == pytest.approx(
+            res.lam, rel=1e-12)
+        assert res.history[-1] == pytest.approx(res.lam, rel=1e-6)
+
     def test_functional_scales_exactly(self, sphere3):
         rng = np.random.default_rng(11)
         u = rng.standard_normal(sphere3.n_vertices)
