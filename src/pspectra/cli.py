@@ -94,7 +94,7 @@ def build_mesh(spec):
     raise ConfigError(f"unknown mesh kind {kind!r}")
 
 
-def build_factor(mesh, spec, p=None):
+def build_factor(mesh, spec, p):
     kind = _get(spec, "kind", str)
     if kind == "constant":
         f = np.full(mesh.n_vertices, _get(spec, "value", float, 1.0))
@@ -104,8 +104,6 @@ def build_factor(mesh, spec, p=None):
             amplitude=_get(spec, "amplitude", float, 1.0),
             symmetric=_get(spec, "symmetric", bool, False))
     elif kind == "band_plateau":
-        if p is None:
-            raise ConfigError("band_plateau factor needs p")
         builder = (conformal.smooth_band_plateau_factor
                    if _get(spec, "smooth", bool, True)
                    else conformal.band_plateau_factor)
@@ -131,20 +129,26 @@ def build_factor(mesh, spec, p=None):
 
 
 def solve_options(cfg, **defaults):
-    """SolveOptions from the config's p, seed and solver block; defaults are
-    a command's own values for keys the solver block leaves unset. The seed
-    is the config's, else the solver block's, else 0 (it is validated, but
-    the solver draws nothing from it)."""
+    """SolveOptions from the config's p and solver block; defaults are a
+    command's own values for keys the solver block leaves unset. The
+    config's seed and the block's tolerance (> 0), multistart (>= 1) and
+    seed are checked but set nothing: the solver draws no random starts."""
     solver = {**defaults, **_get(cfg, "solver", dict, {})}
     kinds = {f.name: type(f.default)
              for f in dataclasses.fields(psolve.SolveOptions)
              if f.name != "p"}
+    kinds.update(tolerance=float, multistart=int, seed=int)
     unknown = sorted(set(solver) - set(kinds))
     if unknown:
         raise ConfigError(f"invalid solver config: unknown keys {unknown}")
     opts = {key: _get(solver, key, kinds[key]) for key in solver}
-    opts["seed"] = _get(cfg, "seed", int, opts.get("seed", 0))
-    return psolve.SolveOptions(p=_get(cfg, "p", float), **opts)
+    _get(cfg, "seed", int, opts.pop("seed", 0))
+    p = _get(cfg, "p", float)
+    if not opts.pop("tolerance", 1.0) > 0.0:
+        raise ConfigError("tolerance must be positive")
+    if opts.pop("multistart", 1) < 1:
+        raise ConfigError("multistart must be at least 1")
+    return psolve.SolveOptions(p=p, **opts)
 
 
 def _timestamp():
@@ -288,6 +292,18 @@ def eigen(cfg, outdir):
             f"lambda = {result.lam:.12g}")
 
 
+def _run_cases(fn, cases, jobs):
+    """[fn(case) for case in cases], on up to jobs worker processes (never
+    more workers than cases); jobs below 1 is a ConfigError."""
+    if jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
+    workers = min(jobs, len(cases))  # a fork pool starts them all at once
+    if workers == 1:
+        return [fn(case) for case in cases]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, cases))
+
+
 def _sweep_case(args):
     mesh_spec, eps, opts, warm = args
     p = opts.p
@@ -334,15 +350,14 @@ def sweep_eps(cfg, outdir, jobs):
         raise ConfigError("eps list must be strictly decreasing")
     for eps in eps_list:
         conformal.smooth_band_plateau_factor(mesh, eps, opts.p)  # validates
-    if jobs > 1:
-        cases = [(mesh_spec, eps, opts, None) for eps in eps_list]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_case, cases))
-    else:
+    if jobs == 1:
         rows, warm = [], None
         for eps in eps_list:
             rows.append(_sweep_case((mesh_spec, eps, opts, warm)))
             warm = rows[-1]["eigenfunction"]
+    else:
+        cases = [(mesh_spec, eps, opts, None) for eps in eps_list]
+        rows = _run_cases(_sweep_case, cases, jobs)
     columns = ["eps", "lambda", "volume", "lambda_eps_scaled",
                "lambda_unit_volume"]
     write_csv(outdir / "rows.csv", columns,
@@ -408,11 +423,7 @@ def verify_bound(cfg, outdir, jobs):
               slack)
     factor_seeds = [None] + [seed + i for i in range(n_factors)]
     cases = [(mesh, opts, s) + shared for s in factor_seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_bound_case, cases))
-    else:
-        reports = [_bound_case(c) for c in cases]
+    reports = _run_cases(_bound_case, cases, jobs)
     rows = [[i, r.bound_value, r.computed_lambda, r.slack, int(r.passed)]
             for i, r in enumerate(reports)]
     write_csv(outdir / "rows.csv",

@@ -134,8 +134,7 @@ class BalanceResult:
 
     def to_json(self):
         return {
-            "pole": list(map(float, self.map.pole)),
-            "t": float(self.map.t),
+            **self.map.to_json(),
             "moment_norm": self.moment_norm,
             "evaluations": self.evaluations,
             "converged": self.converged,

@@ -81,35 +81,21 @@ class SolveOptions:
     summed over the continuation stages and the supplied starts.
     residual_target is the projected stationarity residual (relative to
     the numerator gradient scale) at which a stage stops; a result is
-    converged when its residual meets it. delta is the regularization
-    level: each stage solves with the energy (|du|^2 + (delta * s)^2)^(p/2),
-    s^2 the mean |du|^2 of the stage's start, which keeps the solve exactly
-    equivariant under mesh dilation and factor scaling. tolerance,
-    multistart and seed are accepted and validated but ignored: the solve
-    draws no random starts and stops on the residual alone. At p = 2 the
-    solvers run no Newton steps (one eigensolve gives the exact discrete
-    minimizer).
+    converged when its residual meets it. Each stage regularizes at the
+    fixed relative level delta = 1e-8 (see _regularization), and the solve
+    draws no random starts. At p = 2 the solvers run no Newton steps (one
+    eigensolve gives the exact discrete minimizer).
     """
 
     p: float
     max_iterations: int = 6000
-    tolerance: float = 1e-9
-    delta: float = 1e-8
-    multistart: int = 2
-    seed: int = 0
     residual_target: float = 1e-5
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError("p must exceed 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be nonnegative")
-        if self.multistart < 1:
-            raise ValueError("multistart must be at least 1")
         if not self.residual_target > 0.0:
             raise ValueError("residual_target must be positive")
 
@@ -577,6 +563,7 @@ _STAGES = 4             # equal steps of p from 2 to the target
 _MIN_STEP = 2.0 ** -10  # Newton steps are halved down to this fraction
 _FLAT_STEPS = 3         # a run stops after this many accepted steps in a
                         # row that change R by at most 4 ulp (round-off)
+_DELTA = 1e-8           # regularization level, relative to the field
 # relative shifts mu of lam (sigma = lam (1 - mu)) tried in turn while
 # Newton steps fail to descend; a run stops beyond the last. mu = 1 is left
 # out: at sigma = 0 the bordered system of a closed or Neumann problem has
@@ -585,11 +572,12 @@ _FLAT_STEPS = 3         # a run stops after this many accepted steps in a
 _DAMPING = (0.0, 1e-3, 1e-2, 1e-1, 0.5, 2.0, 1e1, 1e2, 1e3)
 
 
-def _regularization(prob, u, delta):
-    """delta^2 times the mean |du|^2 of u: a level that scales with the
-    field, so the solve is equivariant under dilation."""
+def _regularization(prob, u):
+    """_DELTA^2 s^2, s^2 the mean |du|^2 of u: the stage energy is
+    (|du|^2 + _DELTA^2 s^2)^(p/2), a level that scales with the field, so
+    the solve is equivariant under mesh dilation and factor scaling."""
     s2 = float(np.mean(prob.gradsq(u)))
-    return delta * delta * (s2 if s2 > 0.0 else 1.0)
+    return _DELTA * _DELTA * (s2 if s2 > 0.0 else 1.0)
 
 
 def _residual(prob, u, r, grad_n):
@@ -718,7 +706,7 @@ def _solve(mesh, f, opts, fixed=None, extra_starts=None):
     u = _p2_eigenvector(prob)
     if opts.p == 2.0:
         u = prob.project(u)
-        best = _newton(prob, u, _regularization(prob, u, opts.delta), 0,
+        best = _newton(prob, u, _regularization(prob, u), 0,
                        opts.residual_target)
         best.stop_reason = "eigensolve"
     else:
@@ -728,7 +716,7 @@ def _solve(mesh, f, opts, fixed=None, extra_starts=None):
         for q in np.linspace(2.0, opts.p, _STAGES + 1)[1:]:
             prob = weighted_problem(mesh, f, q, fixed)
             u = prob.project(u)
-            reg = _regularization(prob, u, opts.delta)
+            reg = _regularization(prob, u)
             run = _newton(prob, u, reg, opts.max_iterations - used,
                           opts.residual_target)
             used += run.iterations

@@ -48,8 +48,7 @@ def test_criterion_02_dirichlet_scaling():
         for eps in eps_list[1:]:
             lam = shooting_eigenvalue_1d(p, "dirichlet", eps)
             worst_oracle = max(worst_oracle, abs(lam * eps ** p / base - 1.0))
-        opts = SolveOptions(p=p, seed=0, multistart=1, tolerance=1e-14,
-                            residual_target=1e-9, max_iterations=60000)
+        opts = SolveOptions(p=p, residual_target=1e-9, max_iterations=60000)
         vals = [solve_dirichlet(build_interval(400, -e, e), opts).lam * e ** p
                 for e in eps_list]
         worst_fem = max(worst_fem,
@@ -67,7 +66,7 @@ def test_criterion_03_canonical_eigenvalues(circle400, sphere5):
     t_circle = time.monotonic() - t0
     t0 = time.monotonic()
     lam_sphere = solve_closed(sphere5, np.ones(sphere5.n_vertices),
-                              SolveOptions(p=2.0, multistart=1)).lam
+                              SolveOptions(p=2.0)).lam
     t_sphere = time.monotonic() - t0
     circle_ok = abs(lam_circle - 1.0) <= 0.01 and t_circle < 60.0
     sphere_ok = abs(lam_sphere - 2.0) <= 0.04 and t_sphere < 60.0
@@ -80,8 +79,7 @@ def test_criterion_04_dilatation_scaling_law(sphere2):
     f = random_smooth_factor(sphere2, seed=5, amplitude=0.8)
     worst = 0.0
     for p in [1.5, 2.0, 3.0]:
-        opts = SolveOptions(p=p, seed=2, multistart=1, tolerance=1e-12,
-                            residual_target=1e-8, max_iterations=20000)
+        opts = SolveOptions(p=p, residual_target=1e-8, max_iterations=20000)
         lam = solve_closed(sphere2, f, opts).lam
         for c in [0.25, 4.0]:
             lam_c = solve_closed(sphere2, c * f, opts).lam
@@ -104,9 +102,7 @@ def test_criterion_05_volume_bounds(sphere5):
                 f = random_smooth_factor(sphere5, seed=case - 1,
                                          amplitude=1.0)
             f = normalize_unit_volume(sphere5, f)
-            opts = SolveOptions(p=p, seed=case, multistart=1,
-                                tolerance=1e-6, residual_target=1e-3,
-                                max_iterations=9000)
+            opts = SolveOptions(p=p, residual_target=1e-3, max_iterations=9000)
             lam = solve_closed(sphere5, f, opts).lam
             if lam > bound * (1.0 + slack):
                 failures.append((p, case, lam / bound))
@@ -136,7 +132,7 @@ def test_criterion_06_balancing_pipeline(sphere4):
             starts = [psi[:, i] - p_shift(psi[:, i], rho, p)
                       for i in range(3)]
             lam = solve_closed(sphere4, f,
-                               SolveOptions(p=p, seed=k, multistart=1),
+                               SolveOptions(p=p),
                                extra_starts=starts).lam
             if lam > bound * 1.02:
                 failures.append((p, k, lam / bound))
@@ -146,8 +142,7 @@ def test_criterion_06_balancing_pipeline(sphere4):
 
 
 def test_criterion_07_blowup_trend():
-    solver = {"multistart": 1, "tolerance": 3e-6, "residual_target": 1e-3,
-              "max_iterations": 8000}
+    solver = {"residual_target": 1e-3, "max_iterations": 8000}
     circle_spec = {"kind": "circle", "n": 4000, "length": 2.0 * math.pi}
     rows = []
     warm = None
@@ -163,8 +158,7 @@ def test_criterion_07_blowup_trend():
              and lams1[-1] >= 10.0 * lams1[0])
 
     sphere_spec = {"kind": "icosphere", "level": 6}
-    solver2 = {"multistart": 1, "tolerance": 3e-6, "residual_target": 1e-3,
-               "max_iterations": 4000}
+    solver2 = {"residual_target": 1e-3, "max_iterations": 4000}
     rows2 = []
     warm = None
     for eps in [0.5, 0.35, 0.25]:
@@ -189,13 +183,13 @@ def test_criterion_08_reflection_inequality(sphere4):
             f = random_smooth_factor(sphere4, seed=30 + k, amplitude=0.9,
                                      symmetric=True)
             f_h = f[hemi.parent_index]
-            opts = SolveOptions(p=p, seed=k, multistart=1)
+            opts = SolveOptions(p=p)
             neu = solve_neumann(hemi, f_h, opts)
             w = reflect_even(neu.eigenfunction, hemi, sphere4)
             closed = solve_closed(sphere4, f, opts, extra_starts=[w])
             if closed.lam > neu.lam * 1.02:
                 failures.append((p, k, closed.lam / neu.lam))
-    opts = SolveOptions(p=2.0, multistart=1)
+    opts = SolveOptions(p=2.0)
     ones = np.ones(sphere4.n_vertices)
     lam_c = solve_closed(sphere4, ones, opts).lam
     lam_n = solve_neumann(hemi, np.ones(hemi.n_vertices), opts).lam
@@ -258,7 +252,7 @@ def test_criterion_10_solver_internals(tmp_path):
 
     circle = build_circle(200, 2.0 * math.pi)
     res = solve_closed(circle, np.ones(200),
-                       SolveOptions(p=2.5, multistart=2, seed=3))
+                       SolveOptions(p=2.5))
     monotone_ok = bool(np.all(np.diff(np.asarray(res.history)) <= 0.0))
 
     # deterministic reruns: byte-identical CSV modulo the timestamp line

@@ -79,7 +79,7 @@ class TestCanonicalConformalVolume:
 
     def test_certified_by_solver(self, sphere5, circle400):
         lam_s2 = solve_closed(sphere5, np.ones(sphere5.n_vertices),
-                              SolveOptions(p=2.0, multistart=1)).lam
+                              SolveOptions(p=2.0)).lam
         assert canonical_conformal_volume("S2", lam2=lam_s2) \
             == pytest.approx(4 * math.pi, rel=0.02)
         lam_s1 = solve_closed(circle400, np.ones(circle400.n_vertices),
@@ -101,7 +101,7 @@ class TestVerifyBound:
     def test_round_sphere_near_sharp(self, sphere5):
         f = normalize_unit_volume(sphere5, np.ones(sphere5.n_vertices))
         report = verify_bound(sphere5, f,
-                              SolveOptions(p=2.0, multistart=1))
+                              SolveOptions(p=2.0))
         assert report.passed
         assert report.computed_lambda >= 0.95 * report.bound_value
         assert report.bound_value == pytest.approx(8 * math.pi)
@@ -109,14 +109,14 @@ class TestVerifyBound:
     def test_random_factor_p2(self, sphere4):
         f = normalize_unit_volume(sphere4,
                                   random_smooth_factor(sphere4, seed=3))
-        report = verify_bound(sphere4, f, SolveOptions(p=2.0, multistart=1))
+        report = verify_bound(sphere4, f, SolveOptions(p=2.0))
         assert report.passed
         assert report.slack >= -report.tolerance * report.bound_value
 
     def test_random_factor_p15_genus_bound(self, sphere4):
         f = normalize_unit_volume(sphere4,
                                   random_smooth_factor(sphere4, seed=5))
-        report = verify_bound(sphere4, f, SolveOptions(p=1.5, multistart=1),
+        report = verify_bound(sphere4, f, SolveOptions(p=1.5),
                               source="genus_surface")
         assert report.passed
 

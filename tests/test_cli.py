@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackError
 
-from pspectra import bounds, build_icosphere, mobius, psolve
+from pspectra import bounds, build_icosphere, cli, mobius, psolve
 from pspectra.cli import _sweep_case, main
 
 
@@ -217,8 +217,8 @@ class TestSweepEps:
     def test_sphere_case_reaches_low_branch(self):
         # a field of quotient 10.55 exists; the descent from the band ramp
         # stopped at 61.04 and reported converged
-        opts = psolve.SolveOptions(p=3.0, multistart=1, tolerance=3e-6,
-                                   residual_target=1e-3, max_iterations=4000)
+        opts = psolve.SolveOptions(p=3.0, residual_target=1e-3,
+                                   max_iterations=4000)
         row = _sweep_case(({"kind": "icosphere", "level": 4}, 0.5, opts,
                            None))
         assert row["lambda"] <= 10.6
@@ -263,11 +263,42 @@ class TestVerifyBound:
         # NaN parses as JSON and fails no "< 0" comparison
         for solver, message in [
                 ({"bogus_key": 3}, "invalid solver config"),
-                ({"delta": float("nan")}, "delta must be nonnegative")]:
+                ({"residual_target": float("nan")},
+                 "residual_target must be positive")]:
             result = self._level2_p15(tmp_path, outdir, solver)
             assert result.exit_code == 1
             assert f"error: {message}" in result.output
             assert "Traceback" not in result.output
+
+    def test_ignored_solver_keys_keep_outputs(self, tmp_path):
+        # tolerance and multistart set nothing, but older configs (the
+        # benchmark's among them) still pass them
+        outs = [tmp_path / "old", tmp_path / "new"]
+        for out, solver in zip(outs, [
+                {"multistart": 1, "tolerance": 1e-6, "residual_target": 1e-3},
+                {"residual_target": 1e-3}]):
+            result = self._level2_p15(tmp_path, out, solver)
+            assert result.exit_code == 0, result.output
+        # the first line of rows.csv is the generation timestamp
+        rows = [(out / "rows.csv").read_text().splitlines()[1:]
+                for out in outs]
+        assert rows[0] == rows[1]
+        assert ((outs[0] / "results.json").read_bytes()
+                == (outs[1] / "results.json").read_bytes())
+
+    # a delta key is refused rather than ignored: it used to set the solve's
+    # regularization level
+    @pytest.mark.parametrize("solver,message", [
+        ({"multistart": "x"}, "config key 'multistart' must be a JSON integer"),
+        ({"multistart": 0}, "multistart must be at least 1"),
+        ({"tolerance": -1}, "tolerance must be positive"),
+        ({"delta": 1e-6}, "invalid solver config: unknown keys ['delta']")])
+    def test_malformed_ignored_solver_key_exits_one(self, tmp_path, outdir,
+                                                    solver, message):
+        result = self._level2_p15(tmp_path, outdir, solver)
+        assert result.exit_code == 1
+        assert f"error: {message}" in result.output
+        assert "Traceback" not in result.output
 
     # a negative count ran the round case alone; a NaN or negative slack
     # flagged every case as a violated bound
@@ -458,6 +489,50 @@ class TestJobs:
         assert rows[0] == rows[1]
         assert ((outs[0] / "results.json").read_bytes()
                 == (outs[1] / "results.json").read_bytes())
+
+
+    @pytest.mark.parametrize("command,config", [
+        ("verify-bound", {"mesh": {"kind": "icosphere", "level": 2},
+                          "p": 2.0, "n_factors": 2}),
+        ("sweep-eps", {"mesh": {"kind": "circle", "n": 800,
+                                "length": 2 * np.pi},
+                       "p": 3.0, "eps": [0.5, 0.35]})])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_one(self, tmp_path, outdir, command,
+                                      config, jobs):
+        # both values used to run the cases one after another
+        cfg = write_config(tmp_path / "j.json", config)
+        result = run([command, "--config", cfg, "--out", str(outdir),
+                      "--jobs", jobs])
+        assert result.exit_code == 1
+        assert "error: --jobs must be at least 1" in result.output
+
+    def test_workers_capped_at_cases(self, tmp_path, outdir, monkeypatch):
+        # a fork pool starts all its workers at once, so --jobs 5000 forked
+        # 5000 processes for 3 cases; the fake pool starts none
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cases):
+                return map(fn, cases)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        cfg = write_config(tmp_path / "vb.json", {
+            "mesh": {"kind": "icosphere", "level": 2}, "p": 2.0,
+            "n_factors": 2})
+        result = run(["verify-bound", "--config", cfg, "--out", str(outdir),
+                      "--jobs", "5000"])
+        assert result.exit_code == 0, result.output
+        assert sizes == [3]
 
 
 class TestFileMeshInputs:

@@ -357,7 +357,7 @@ class TestBalancedEnergyBound:
         f = normalize_unit_volume(sphere3, np.ones(sphere3.n_vertices))
         bound = balanced_energy_bound(sphere3, f, sphere3.vertices, 2.0)
         assert bound == pytest.approx(2.0 * sphere3.total_measure, rel=1e-9)
-        res = solve_closed(sphere3, f, SolveOptions(p=2.0, multistart=1))
+        res = solve_closed(sphere3, f, SolveOptions(p=2.0))
         assert res.lam <= bound * 1.02
         assert res.lam >= bound * 0.95
 
@@ -392,7 +392,7 @@ class TestBalancedEnergyBound:
         bound = balanced_energy_bound(sphere3, f, psi, p)
         rho = dens * sphere3.vertex_measure
         starts = [psi[:, i] - p_shift(psi[:, i], rho, p) for i in range(3)]
-        solved = solve_closed(sphere3, f, SolveOptions(p=p, multistart=1),
+        solved = solve_closed(sphere3, f, SolveOptions(p=p),
                               extra_starts=starts)
         assert solved.lam <= bound * 1.02
 

@@ -198,12 +198,12 @@ class TestSolveClosed:
 
     def test_sphere_p2(self, sphere5):
         res = solve_closed(sphere5, ones(sphere5),
-                           SolveOptions(p=2.0, multistart=1))
+                           SolveOptions(p=2.0))
         assert res.lam == pytest.approx(2.0, rel=0.02)
 
     def test_result_invariants(self, sphere3):
         f = random_smooth_factor(sphere3, seed=1)
-        res = solve_closed(sphere3, f, SolveOptions(p=2.5, multistart=1))
+        res = solve_closed(sphere3, f, SolveOptions(p=2.5))
         assert res.lam >= 0.0
         assert res.constraint_defect <= 1e-8
         u = res.eigenfunction
@@ -221,8 +221,7 @@ class TestSolveClosed:
     @pytest.mark.parametrize("p,c", [(1.5, 0.25), (2.0, 4.0), (3.0, 0.25)])
     def test_dilatation_scaling_law(self, sphere2, p, c):
         f = random_smooth_factor(sphere2, seed=5, amplitude=0.8)
-        opts = SolveOptions(p=p, seed=2, multistart=1, tolerance=1e-12,
-                            residual_target=1e-8, max_iterations=20000)
+        opts = SolveOptions(p=p, residual_target=1e-8, max_iterations=20000)
         lam1 = solve_closed(sphere2, f, opts).lam
         lam2 = solve_closed(sphere2, c * f, opts).lam
         assert lam2 == pytest.approx(c ** (-p / 2.0) * lam1, rel=1e-6)
@@ -252,7 +251,7 @@ class TestSolveClosed:
 
     def test_deterministic_rerun(self, sphere2):
         f = random_smooth_factor(sphere2, seed=8)
-        opts = SolveOptions(p=2.5, seed=13, multistart=2)
+        opts = SolveOptions(p=2.5)
         r1 = solve_closed(sphere2, f, opts)
         r2 = solve_closed(sphere2, f, opts)
         assert r1.lam == r2.lam
@@ -266,17 +265,14 @@ class TestSolveDirichlet:
 
     def test_eigenfunction_even(self, interval1000):
         res = solve_dirichlet(interval1000,
-                              SolveOptions(p=2.0, multistart=1,
-                                           tolerance=1e-12,
-                                           residual_target=1e-8,
+                              SolveOptions(p=2.0, residual_target=1e-8,
                                            max_iterations=30000))
         u = res.eigenfunction
         u = u / np.max(np.abs(u))
         assert np.max(np.abs(u - u[::-1])) < 1e-6
 
     def test_scaling_identity(self):
-        opts = SolveOptions(p=3.0, multistart=1, tolerance=1e-14,
-                            residual_target=1e-9, max_iterations=60000)
+        opts = SolveOptions(p=3.0, residual_target=1e-9, max_iterations=60000)
         lam1 = solve_dirichlet(build_interval(400, -1, 1), opts).lam
         lam2 = solve_dirichlet(build_interval(400, -0.25, 0.25), opts).lam
         assert lam2 * 0.25 ** 3 == pytest.approx(lam1, rel=1e-9)
@@ -291,8 +287,7 @@ class TestSolveDirichlet:
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_vs_oracle(self, interval1000, p):
-        opts = SolveOptions(p=p, multistart=1, tolerance=1e-12,
-                            residual_target=1e-8, max_iterations=40000)
+        opts = SolveOptions(p=p, residual_target=1e-8, max_iterations=40000)
         fem = solve_dirichlet(interval1000, opts).lam
         oracle = shooting_eigenvalue_1d(p, "dirichlet", 1.0)
         assert fem == pytest.approx(oracle, rel=0.005)
@@ -609,22 +604,21 @@ class TestSolverInternals:
 
     def test_descent_monotonic_history(self, sphere3):
         f = random_smooth_factor(sphere3, seed=2)
-        res = solve_closed(sphere3, f, SolveOptions(p=2.5, multistart=1))
+        res = solve_closed(sphere3, f, SolveOptions(p=2.5))
         h = np.asarray(res.history)
         assert np.all(np.diff(h) <= 0.0)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_residual_invariant_at_convergence(self, sphere2, p):
         f = random_smooth_factor(sphere2, seed=7, amplitude=0.8)
-        opts = SolveOptions(p=p, seed=1, multistart=1, residual_target=1e-8,
-                            max_iterations=20000)
+        opts = SolveOptions(p=p, residual_target=1e-8, max_iterations=20000)
         res = solve_closed(sphere2, f, opts)
         assert res.converged
         assert res.gradient_residual <= 1e-6
 
     def test_positive_negative_parts_equal_quotients(self, circle400):
         res = solve_closed(circle400, ones(circle400),
-                           SolveOptions(p=2.5, multistart=1))
+                           SolveOptions(p=2.5))
         u = res.eigenfunction
         qp = rayleigh_quotient(circle400, ones(circle400), 2.5,
                                np.maximum(u, 0.0))
@@ -641,8 +635,7 @@ class TestFactorDominationChain:
         smooth = smooth_band_plateau_factor(mesh, eps, p)
         singular = band_plateau_factor(mesh, eps, p)
         res = solve_closed(mesh, smooth,
-                           SolveOptions(p=p, multistart=1, tolerance=1e-6,
-                                        residual_target=1e-3,
+                           SolveOptions(p=p, residual_target=1e-3,
                                         max_iterations=6000))
         u = res.eigenfunction
         w_sing = measure_density(mesh, singular) * mesh.vertex_measure
@@ -652,9 +645,7 @@ class TestFactorDominationChain:
         q_sing = rayleigh_quotient(mesh, singular, p, u_t)
         assert q_smooth >= q_sing * (1.0 - 1e-12)
         res_sing = solve_closed(mesh, singular,
-                                SolveOptions(p=p, multistart=1,
-                                             tolerance=1e-6,
-                                             residual_target=1e-3,
+                                SolveOptions(p=p, residual_target=1e-3,
                                              max_iterations=6000),
                                 extra_starts=[u_t])
         assert res_sing.lam <= q_sing * (1.0 + 1e-9)
@@ -857,21 +848,21 @@ def _dirichlet_bump(mesh):
     return u
 
 
-def _run_one_start(prob, u0, opts, budget):
+def _run_one_start(prob, u0, opts, budget, tolerance, delta_final):
     u = prob.project(np.asarray(u0, dtype=float))
     gscale = float(np.mean(prob.gradsq(u)))
     s2 = gscale if gscale > 0 else 1.0
     history = []
     used = 0
     reason = "max_iterations"
-    stages = _delta_schedule(prob.p, opts.delta)
+    stages = _delta_schedule(prob.p, delta_final)
     for k, delta in enumerate(stages):
         final = k == len(stages) - 1
         reg = (delta * delta) * s2
         cap = budget - used if final else min(300, budget - used)
         if cap <= 0:
             break
-        tol = opts.tolerance if final else max(opts.tolerance, 1e-9)
+        tol = tolerance if final else max(tolerance, 1e-9)
         res_target = opts.residual_target if final else None
         u, it, reason = _descend(prob, u, reg, cap, tol, res_target, history)
         used += it
@@ -920,10 +911,11 @@ class TestP2Eigensolve:
         res = solve()
         assert res.iterations == 0
         assert res.stop_reason == "eigensolve"
-        tight = SolveOptions(p=2.0, multistart=1, tolerance=1e-14,
-                             residual_target=1e-10, max_iterations=40000)
+        tight = SolveOptions(p=2.0, residual_target=1e-10,
+                             max_iterations=40000)
         u, *_ = _run_one_start(DescentProblem(prob), start, tight,
-                               tight.max_iterations)
+                               tight.max_iterations, tolerance=1e-14,
+                               delta_final=1e-8)
         descent = prob.numerator(u, 0.0) / prob.denominator(u)
         v = res.eigenfunction
         lam = prob.numerator(v, 0.0) / prob.denominator(v)
@@ -1115,10 +1107,11 @@ class TestNewton:
     def test_not_above_tight_descent(self, sphere2, kind):
         res, prob, start = _newton_case(kind, sphere2)
         assert res.converged
-        tight = SolveOptions(p=prob.p, multistart=1, tolerance=1e-14,
-                             residual_target=1e-10, max_iterations=40000)
+        tight = SolveOptions(p=prob.p, residual_target=1e-10,
+                             max_iterations=40000)
         u, *_ = _run_one_start(DescentProblem(prob), start, tight,
-                               tight.max_iterations)
+                               tight.max_iterations, tolerance=1e-14,
+                               delta_final=1e-8)
         descent = prob.numerator(u, 0.0) / prob.denominator(u)
         assert res.lam <= descent * (1.0 + 1e-9)
         assert res.lam == pytest.approx(descent, rel=1e-6)
@@ -1128,8 +1121,7 @@ class TestNewton:
         # and still reported converged
         f = normalize_unit_volume(sphere3, random_smooth_factor(sphere3,
                                                                 seed=1))
-        opts = SolveOptions(p=1.5, multistart=1, tolerance=1e-6,
-                            residual_target=1e-3, max_iterations=9000)
+        opts = SolveOptions(p=1.5, residual_target=1e-3, max_iterations=9000)
         res = solve_closed(sphere3, f, opts)
         assert res.converged
         assert res.gradient_residual <= opts.residual_target
