@@ -11,7 +11,7 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "build_interval",
     "build_circle",
     "build_icosphere",
+    "coarser_icospheres",
     "extract_hemisphere",
     "colatitude",
     "integrate",
@@ -328,19 +329,17 @@ def _triangle_areas(verts, faces):
     return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
 
 
-def build_icosphere(level):
-    """Icosahedron subdivided `level` times and projected to the unit sphere.
-
-    The mesh is exactly symmetric under z -> -z, carries a conforming ring of
-    vertices at colatitude pi/2 (hemisphere extraction is exact), and its
-    pole is the vertex nearest (0, 0, 1) (exactly (0, 0, 1) for level >= 1).
-    """
-    if not 0 <= level <= 8:
-        raise MeshError("icosphere level must be in [0, 8]")
+def _subdivided(level):
+    """Vertices and faces of the unit icosahedron subdivided `level` times,
+    before any equator treatment."""
     verts = _ICO_VERTICES / np.linalg.norm(_ICO_VERTICES, axis=1)[:, None]
     faces = _ICO_FACES
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
+    return verts, faces
+
+
+def _icosphere_mesh(verts, faces, level):
     edge = verts[faces[:, [0, 1, 2]]] - verts[faces[:, [1, 2, 0]]]
     min_edge = float(np.linalg.norm(edge, axis=2).min())
     verts = _snap_equator(verts, min_edge)
@@ -349,7 +348,58 @@ def build_icosphere(level):
     areas = _triangle_areas(verts, faces)
     pole = int(np.argmax(verts[:, 2]))
     boundary = np.zeros(len(verts), dtype=bool)
-    return DiscreteManifold("sphere", verts, faces, areas, boundary, pole=pole)
+    mesh = DiscreteManifold("sphere", verts, faces, areas, boundary, pole=pole)
+    mesh._icosphere_level = level  # read by coarser_icospheres
+    return mesh
+
+
+def build_icosphere(level):
+    """Icosahedron subdivided `level` times and projected to the unit sphere.
+
+    The mesh is exactly symmetric under z -> -z, carries a conforming ring of
+    vertices at colatitude pi/2 (hemisphere extraction is exact), and its
+    pole is the vertex nearest (0, 0, 1) (exactly (0, 0, 1) for level >= 1).
+    Subdivision appends the edge midpoints, so the vertices of level k - 1
+    are the first vertices of level k, bit for bit.
+    """
+    if not 0 <= level <= 8:
+        raise MeshError("icosphere level must be in [0, 8]")
+    return _icosphere_mesh(*_subdivided(level), level)
+
+
+def coarser_icospheres(mesh, floor):
+    """The coarser levels of a mesh made by build_icosphere, finest first.
+
+    Each entry is (coarse, P): coarse equals build_icosphere of its level,
+    and the sparse P prolongs its fields to the next finer level. P keeps
+    the values of the coarse vertices (the first vertices of the finer
+    level) and gives each new vertex the mean of the two ends of the edge it
+    halves, an edge of the subdivision before the equator flips. The chain
+    ends at the first level with at most `floor` vertices; it is empty for
+    a mesh with at most `floor` vertices and for any mesh not made by
+    build_icosphere.
+    """
+    level = getattr(mesh, "_icosphere_level", None)
+    if level is None or mesh.n_vertices <= floor:
+        return []
+    raw = [_subdivided(0)]
+    while len(raw) < level:
+        raw.append(_subdivide(*raw[-1]))
+    chain = []
+    for k in range(level - 1, -1, -1):
+        verts, faces = raw[k]
+        n = len(verts)
+        edges, _ = _unique_edges(faces)
+        new = n + np.arange(len(edges))
+        prolong = csr_matrix(
+            (np.concatenate([np.ones(n), np.full(2 * len(edges), 0.5)]),
+             (np.concatenate([np.arange(n), new, new]),
+              np.concatenate([np.arange(n), edges[:, 0], edges[:, 1]]))),
+            shape=(n + len(edges), n))
+        chain.append((_icosphere_mesh(verts, faces, k), prolong))
+        if n <= floor:
+            break
+    return chain
 
 
 def extract_hemisphere(mesh, pole=None):

@@ -21,6 +21,11 @@ sum to zero, so a critical point with lam > 0 has vanishing weighted p-mean
 by itself; trial fields are shifted to it anyway, which keeps every
 accepted quotient an upper bound of the eigenvalue.
 
+Closed solves on an icosphere of level 3 or more run coarse to fine
+(nested iteration; Brandt, Math. Comp. 31, 1977): the p = 2 eigensolve and
+the continuation in p run on the level-2 sphere, and each finer level runs
+one Newton run at the target p from the prolonged iterate.
+
 Each solve owns an isolated workspace and is deterministic; distinct solves
 may run concurrently.
 """
@@ -40,7 +45,7 @@ from scipy.spatial import cKDTree
 
 from .conformal import (check_conformal_factor, energy_density_weight,
                         measure_density)
-from .mesh import MeshError, check_field
+from .mesh import MeshError, check_field, coarser_icospheres
 
 __all__ = [
     "DegenerateFieldError",
@@ -78,7 +83,8 @@ class SolveOptions:
     """Options of the p != 2 Newton solve.
 
     max_iterations caps the Newton systems a solve factors and solves,
-    summed over the continuation stages and the supplied starts.
+    summed over the continuation stages, the mesh levels and the supplied
+    starts.
     residual_target is the projected stationarity residual (relative to
     the numerator gradient scale) at which a stage stops; a result is
     converged when its residual meets it. Each stage regularizes at the
@@ -560,6 +566,8 @@ def _p2_eigenvector(prob):
 
 
 _STAGES = 4             # equal steps of p from 2 to the target
+_COARSEST = 200         # a chain of coarser meshes ends at this many
+                        # vertices or fewer (the level-2 icosphere has 162)
 _MIN_STEP = 2.0 ** -10  # Newton steps are halved down to this fraction
 _FLAT_STEPS = 3         # a run stops after this many accepted steps in a
                         # row that change R by at most 4 ulp (round-off)
@@ -695,32 +703,70 @@ def weighted_problem(mesh, f, p, fixed=None):
                     measure_density(mesh, f) * mesh.vertex_measure, fixed)
 
 
+def _coarse_chain(mesh):
+    """The mesh's coarser levels down to _COARSEST vertices (see
+    coarser_icospheres), built once per mesh."""
+    chain = getattr(mesh, "_psolve_chain", None)
+    if chain is None:
+        chain = coarser_icospheres(mesh, _COARSEST)
+        mesh._psolve_chain = chain
+    return chain
+
+
+def _path(mesh, f, opts, fixed):
+    """The canonical path at p != 2, coarse to fine (nested iteration).
+
+    On the coarsest level of the mesh's chain (the mesh itself when it has
+    none) it runs the p = 2 eigensolve and the continuation in p, each
+    stage with its own regularization level. Each finer level runs one
+    Newton run at the target p from the prolonged iterate, at the level of
+    its projected start. The coarse factor is f restricted to the coarse
+    vertices, a prefix of the fine ones. Returns the finest run, its
+    iterations summed over every level, with its problem and
+    regularization level.
+    """
+    chain = _coarse_chain(mesh)  # only closed icospheres have one
+    meshes = [mesh] + [coarse for coarse, _ in chain]  # finest first
+    u = _p2_eigenvector(weighted_problem(
+        meshes[-1], f[:meshes[-1].n_vertices], 2.0, fixed))
+    # the stages on the coarsest level, then the target p on each finer one
+    steps = [(meshes[-1], q, None)
+             for q in np.linspace(2.0, opts.p, _STAGES + 1)[1:]]
+    steps += [(finer, opts.p, prolong)
+              for finer, (_, prolong) in zip(meshes[-2::-1], chain[::-1])]
+    used = 0
+    for level, q, prolong in steps:
+        prob = weighted_problem(level, f[:level.n_vertices], q, fixed)
+        u = prob.project(u if prolong is None else prolong @ u)
+        reg = _regularization(prob, u)
+        run = _newton(prob, u, reg, opts.max_iterations - used,
+                      opts.residual_target)
+        used += run.iterations
+        u = run.eigenfunction
+    run.iterations = used
+    return run, prob, reg
+
+
 def _solve(mesh, f, opts, fixed=None, extra_starts=None):
+    """At p != 2 the canonical path (_path), then the extra_starts on the
+    finest level at its regularization level. The lowest converged run
+    wins with its own finest-level converged, gradient_residual and
+    stop_reason; iterations counts the systems of every level and run."""
     # the one place that decides the scale: the solve runs on 2^k f, max
     # 2^k f in [1, 2), and lam(f) = 2^(kp/2) lam(2^k f); the D = 1
     # eigenfunction of f is that of 2^k f times 2^(km/2p)
     f = check_conformal_factor(mesh, f)
     k = 1 - int(np.frexp(np.max(f))[1])
     f = np.ldexp(f, k)
-    prob = weighted_problem(mesh, f, 2.0, fixed)
-    u = _p2_eigenvector(prob)
     if opts.p == 2.0:
-        u = prob.project(u)
+        prob = weighted_problem(mesh, f, 2.0, fixed)
+        u = prob.project(_p2_eigenvector(prob))
         best = _newton(prob, u, _regularization(prob, u), 0,
                        opts.residual_target)
         best.stop_reason = "eigensolve"
     else:
-        # the canonical path: from the p = 2 eigenvector in equal steps of
-        # p, each stage with its own regularization level
-        used = 0
-        for q in np.linspace(2.0, opts.p, _STAGES + 1)[1:]:
-            prob = weighted_problem(mesh, f, q, fixed)
-            u = prob.project(u)
-            reg = _regularization(prob, u)
-            run = _newton(prob, u, reg, opts.max_iterations - used,
-                          opts.residual_target)
-            used += run.iterations
-            u = run.eigenfunction
+        run, prob, reg = _path(mesh, f, opts, fixed)
+        used = run.iterations
         runs = [run]
         # supplied starts: the final stage only, at its regularization level
         for start in extra_starts or []:
@@ -753,11 +799,17 @@ def solve_closed(mesh, f, opts, extra_starts=None):
 
     At p = 2 this is one sparse eigensolve, the exact discrete minimizer;
     extra_starts are unused there. Otherwise Newton with continuation in p
-    from the p = 2 eigenvector; each of the extra_starts (warm starts
-    included), shifted to the p-mean constraint, gets Newton at the target
-    p as well, each run ending at or below the quotient of its shifted
-    start. The result is the lowest eigenvalue among the runs that meet
-    the residual target (among all runs when none does).
+    from the p = 2 eigenvector. On a mesh made by build_icosphere with more
+    than 200 vertices the eigensolve and the continuation run on the
+    coarsest level of its chain (coarser_icospheres; the level-2 sphere),
+    and each finer level runs Newton at the target p from the prolonged
+    iterate; any other mesh is solved on itself alone. Each of the
+    extra_starts (warm starts included), shifted to the p-mean constraint,
+    gets Newton at the target p on the mesh itself, each run ending at or
+    below the quotient of its shifted start. The result is the lowest
+    eigenvalue among the runs that meet the residual target (among all
+    runs when none does); iterations and max_iterations count the Newton
+    systems of every level and run.
     """
     if mesh.boundary.any():
         raise MeshError("solve_closed needs a closed mesh")
@@ -933,12 +985,13 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
     The equation -(|u'|^(p-2) u')' = lam |u|^(p-2) u is (p-1)-homogeneous:
     u(c t) solves it at lam = c^p when u solves it at lam = 1 (Drabek &
     Manasevich, Differential Integral Equations 12, 1999). One integration
-    at lam = 1 from (u, |u'|^(p-2) u') = (0, 1) runs to the first zero of u
-    (Dirichlet: the half period T, so lam = (T / 2h)^p) or of the flux (the
-    odd Neumann mode: the quarter period T, so lam = (T / h)^p). Energy
-    conservation bounds the quarter period by p (p-1)^(1/p-1); the span is
-    twice the resulting half-period bound. A run that fails or ends without
-    the zero raises ConvergenceError.
+    at lam = 1 from (u, |u'|^(p-2) u') = (0, 1) runs to the first zero of
+    the flux, the quarter period T. Both modes span one quarter period on
+    a halfwidth: the Dirichlet eigenfunction rises from u(-h) = 0 to its
+    maximum at 0, the odd Neumann mode from u(0) = 0 to its maximum at h.
+    So lam = (T / h)^p in either mode. Energy conservation bounds the
+    quarter period by p (p-1)^(1/p-1); the span is four times that bound.
+    A run that fails or ends without the zero raises ConvergenceError.
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -947,22 +1000,18 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
     if halfwidth <= 0:
         raise ValueError("halfwidth must be positive")
     q = 1.0 / (p - 1.0)
-    end, length = ((0, 2.0 * halfwidth) if mode == "dirichlet"
-                   else (1, halfwidth))
 
     def rhs(_, y):
         u, v = y
         return (math.copysign(abs(v) ** q, v),
                 -math.copysign(abs(u) ** (p - 1.0), u))
 
-    def zero(_, y):
-        return y[end]
-    # the direction skips the zero of u at t = 0
-    zero.terminal, zero.direction = True, -1
+    def flux_zero(_, y):
+        return y[1]
+    flux_zero.terminal, flux_zero.direction = True, -1
     sol = solve_ivp(rhs, (0.0, 4.0 * p * (p - 1.0) ** (1.0 / p - 1.0)),
                     (0.0, 1.0), method="DOP853", rtol=1e-12, atol=1e-14,
-                    events=zero)
+                    events=flux_zero)
     if sol.status != 1:
         raise ConvergenceError(f"shooting integration failed: {sol.message}")
-    return float((sol.t_events[0][0] / length) ** p)
-
+    return float((sol.t_events[0][0] / halfwidth) ** p)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pspectra import (MeshError, build_circle, build_icosphere,
-                      build_interval, colatitude, extract_hemisphere,
-                      integrate, load_mesh_csv, load_off, save_mesh_csv,
-                      save_off, weighted_problem)
+from pspectra import (DiscreteManifold, MeshError, build_circle,
+                      build_icosphere, build_interval, colatitude,
+                      extract_hemisphere, integrate, load_mesh_csv, load_off,
+                      save_mesh_csv, save_off, weighted_problem)
 from pspectra import mesh as mesh_mod
+from pspectra.mesh import coarser_icospheres
 
 
 def gradsq(mesh, u):
@@ -173,6 +174,53 @@ class TestIcosphere:
         v = sphere3.vertices[sphere3.elements]
         n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
         assert np.all(np.einsum("ij,ij->i", n, v.sum(axis=1)) > 0)
+
+
+class TestHierarchy:
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_coarse_vertices_are_a_prefix(self, level):
+        coarse, fine = build_icosphere(level - 1), build_icosphere(level)
+        assert np.array_equal(coarse.vertices,
+                              fine.vertices[:coarse.n_vertices])
+
+    def test_chain_ends_at_the_floor(self, sphere5):
+        chain = coarser_icospheres(sphere5, 200)
+        assert [c.n_vertices for c, _ in chain] == [2562, 642, 162]
+        finer = [sphere5] + [c for c, _ in chain[:-1]]
+        for (coarse, prolong), fine, level in zip(chain, finer, [4, 3, 2]):
+            assert prolong.shape == (fine.n_vertices, coarse.n_vertices)
+            ref = build_icosphere(level)
+            assert np.array_equal(coarse.vertices, ref.vertices)
+            assert np.array_equal(coarse.elements, ref.elements)
+        assert [c.n_vertices for c, _ in coarser_icospheres(sphere5, 642)] \
+            == [2562, 642]
+
+    def test_prolongation_keeps_and_averages(self, sphere4):
+        (coarse, prolong), = coarser_icospheres(sphere4, 642)
+        n = coarse.n_vertices
+        u = np.random.default_rng(3).standard_normal(n)
+        w = prolong @ u
+        assert np.array_equal(w[:n], u)
+        rows = prolong.tocsr()[n:]
+        assert np.all(np.diff(rows.indptr) == 2)
+        assert np.all(rows.data == 0.5)
+        a, b = rows.indices[0::2], rows.indices[1::2]
+        assert np.array_equal(w[n:], 0.5 * (u[a] + u[b]))
+        # each new vertex is the projected midpoint of the edge it halves
+        mid = coarse.vertices[a] + coarse.vertices[b]
+        mid /= np.linalg.norm(mid, axis=1)[:, None]
+        assert np.max(np.abs(mid - sphere4.vertices[n:])) <= 1e-15
+
+    def test_other_meshes_have_no_chain(self, sphere2, sphere3, tmp_path):
+        save_off(sphere3, tmp_path / "s.off")
+        rebuilt = DiscreteManifold("sphere", sphere3.vertices,
+                                   sphere3.elements, sphere3.element_measure,
+                                   sphere3.boundary, pole=sphere3.pole)
+        for mesh in [sphere2, rebuilt, load_off(tmp_path / "s.off"),
+                     extract_hemisphere(sphere3), build_circle(64, 1.0),
+                     build_interval(64, -1.0, 1.0)]:
+            assert coarser_icospheres(mesh, 200) == []
+        assert len(coarser_icospheres(sphere2, 12)) == 2
 
 
 class TestHemisphere:

@@ -10,14 +10,14 @@ from scipy.sparse.linalg import LinearOperator, norm as sparse_norm
 from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       SolveOptions, build_circle, build_icosphere,
                       build_interval, extract_hemisphere, integrate,
-                      measure_density, mirror_index,
+                      load_off, measure_density, mirror_index,
                       normalize_unit_volume,
                       p_shift,
                       radial_average, random_smooth_factor,
                       rayleigh_quotient, reflect_even, shooting_eigenvalue_1d,
                       smooth_band_plateau_factor, band_plateau_factor,
-                      solve_closed, solve_dirichlet, solve_neumann,
-                      split_band_plateau)
+                      save_off, solve_closed, solve_dirichlet,
+                      solve_neumann, split_band_plateau)
 from pspectra import psolve
 from pspectra.psolve import (_TINY, _gram_inverse, _p2_eigenvector,
                              quotient_gradient, weighted_problem)
@@ -536,6 +536,7 @@ class TestShootingOracle:
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(1.05, 10.0), log_h=st.floats(-2.0, 2.0),
            mode=st.sampled_from(["dirichlet", "neumann"]))
+    @example(p=4.40625, log_h=0.0, mode="dirichlet")
     def test_closed_form_over_p_and_halfwidth(self, p, log_h, mode):
         h = 10.0 ** log_h
         pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
@@ -1179,3 +1180,145 @@ class TestNewton:
         assert res.stop_reason == "line_search_floor"
         assert res.iterations == psolve._STAGES * len(psolve._DAMPING)
         assert not res.converged
+
+
+def _plain(mesh):
+    """The same mesh through the constructor: no coarser levels."""
+    return DiscreteManifold(mesh.kind, mesh.vertices, mesh.elements,
+                            mesh.element_measure, mesh.boundary,
+                            pole=mesh.pole)
+
+
+def _single_level(mesh, f, opts, fixed=None):
+    """Reference: the continuation path on the mesh itself, the p = 2
+    eigenvector and four equal stages of p, at the solve's factor scale;
+    (lam, eigenfunction, iterations)."""
+    k = 1 - int(np.frexp(np.max(f))[1])
+    g = np.ldexp(f, k)
+    prob = weighted_problem(mesh, g, 2.0, fixed)
+    u = _p2_eigenvector(prob)
+    used = 0
+    for q in np.linspace(2.0, opts.p, psolve._STAGES + 1)[1:]:
+        prob = weighted_problem(mesh, g, q, fixed)
+        u = prob.project(u)
+        run = psolve._newton(prob, u, psolve._regularization(prob, u),
+                             opts.max_iterations - used, opts.residual_target)
+        used += run.iterations
+        u = run.eigenfunction
+    return (float(run.lam * np.exp2(k * opts.p / 2.0)),
+            run.eigenfunction * np.exp2(k * mesh.dim / (2.0 * opts.p)), used)
+
+
+class TestCoarseToFine:
+    """p != 2 closed solves on icospheres of level >= 3 run the continuation
+    path on the level-2 sphere and one Newton run per finer level."""
+
+    TIGHT = dict(residual_target=1e-8, max_iterations=9000)
+
+    @staticmethod
+    def factor(mesh, seed):
+        return normalize_unit_volume(mesh, random_smooth_factor(mesh,
+                                                                seed=seed))
+
+    @pytest.mark.parametrize("level,seed,p", [
+        (3, 0, 3.0), (3, 1, 1.5), (3, 1, 3.0),
+        (4, 0, 1.5), (4, 0, 3.0), (4, 1, 1.5), (4, 1, 3.0)])
+    def test_matches_the_direct_path(self, sphere3, sphere4, level, seed, p):
+        mesh = {3: sphere3, 4: sphere4}[level]
+        f = self.factor(mesh, seed)
+        opts = SolveOptions(p=p, **self.TIGHT)
+        nested = solve_closed(mesh, f, opts)
+        direct = solve_closed(_plain(mesh), f, opts)
+        assert nested.converged and direct.converged
+        assert nested.lam == pytest.approx(direct.lam, rel=1e-9)
+
+    def test_lower_critical_point_on_level3(self, sphere3):
+        # level 3, factor 0, p = 1.5: the two paths end at distinct critical
+        # points 5.1e-8 apart; the direct path's is not the lower one, since
+        # Newton from the nested result stays at the nested value
+        f = self.factor(sphere3, 0)
+        opts = SolveOptions(p=1.5, **self.TIGHT)
+        nested = solve_closed(sphere3, f, opts)
+        direct = solve_closed(_plain(sphere3), f, opts)
+        assert nested.converged and direct.converged
+        assert nested.lam == pytest.approx(direct.lam, rel=1e-7)
+        assert nested.lam < direct.lam * (1.0 - 1e-8)
+        restarted = solve_closed(_plain(sphere3), f, opts,
+                                 extra_starts=[nested.eigenfunction])
+        assert restarted.lam == pytest.approx(nested.lam, rel=1e-12)
+
+    def test_levels_and_counts(self, monkeypatch, sphere4):
+        newton, runs = psolve._newton, []
+
+        def spy(prob, *args):
+            run = newton(prob, *args)
+            runs.append((prob.mesh.n_vertices, prob.p, run, run.iterations))
+            return run
+
+        monkeypatch.setattr(psolve, "_newton", spy)
+        opts = SolveOptions(p=1.5, residual_target=1e-6)
+        res = solve_closed(sphere4, self.factor(sphere4, 1), opts)
+        # the four stages on level 2, then one run at p on levels 3 and 4
+        assert [run[0] for run in runs] == [162] * 4 + [642, 2562]
+        assert [run[1] for run in runs] == list(
+            np.linspace(2.0, 1.5, psolve._STAGES + 1)[1:]) + [1.5, 1.5]
+        finest = runs[-1][2]
+        assert res.iterations == sum(run[3] for run in runs)
+        assert res.gradient_residual == finest.gradient_residual
+        assert res.stop_reason == finest.stop_reason
+        assert res.converged == finest.converged
+        assert res.restarts == 0
+
+    def test_budget_covers_every_level(self, sphere3):
+        f = self.factor(sphere3, 1)
+        full = solve_closed(sphere3, f, SolveOptions(p=1.5))
+        assert full.converged
+        short = solve_closed(sphere3, f, SolveOptions(p=1.5,
+                                                      max_iterations=5))
+        assert short.iterations == 5
+        assert short.stop_reason == "max_iterations"
+        assert not short.converged
+
+    def test_extra_starts_run_on_the_finest_level(self, sphere3):
+        f = self.factor(sphere3, 1)
+        opts = SolveOptions(p=3.0, residual_target=1e-8)
+        alone = solve_closed(sphere3, f, opts)
+        res = solve_closed(sphere3, f, opts,
+                           extra_starts=[alone.eigenfunction])
+        assert res.restarts == 1
+        assert res.lam <= alone.lam
+        assert res.lam == pytest.approx(alone.lam, rel=1e-12)
+
+    def test_level2_solves_directly(self, sphere2):
+        f = random_smooth_factor(sphere2, seed=5, amplitude=0.8)
+        opts = SolveOptions(p=1.5, residual_target=1e-8, max_iterations=20000)
+        res = solve_closed(sphere2, f, opts)
+        lam, u, used = _single_level(sphere2, f, opts)
+        assert (res.lam, res.iterations) == (lam, used)
+        assert np.array_equal(res.eigenfunction, u)
+
+    @pytest.mark.parametrize("kind", ["circle", "interval", "hemisphere",
+                                      "off"])
+    def test_other_meshes_keep_the_single_level_path(self, tmp_path, sphere3,
+                                                     kind):
+        opts = SolveOptions(p=1.5)
+        if kind == "interval":
+            mesh = build_interval(100, -1.0, 1.0)
+            res = solve_dirichlet(mesh, opts)
+            ref = _single_level(mesh, ones(mesh), opts, mesh.boundary)
+        else:
+            if kind == "circle":
+                mesh = build_circle(300, 2.0 * np.pi)
+                f = 1.0 + 0.5 * np.sin(mesh.vertices) ** 2
+            elif kind == "hemisphere":
+                mesh = extract_hemisphere(sphere3)
+                f = random_smooth_factor(sphere3, seed=2)[mesh.parent_index]
+            else:
+                save_off(sphere3, tmp_path / "sphere3.off")
+                mesh = load_off(tmp_path / "sphere3.off")
+                f = random_smooth_factor(mesh, seed=2)
+            solve = solve_neumann if kind == "hemisphere" else solve_closed
+            res = solve(mesh, f, opts)
+            ref = _single_level(mesh, f, opts)
+        assert (res.lam, res.iterations) == (ref[0], ref[2])
+        assert np.array_equal(res.eigenfunction, ref[1])
