@@ -24,7 +24,9 @@ accepted quotient an upper bound of the eigenvalue.
 Closed solves on an icosphere of level 3 or more run coarse to fine
 (nested iteration; Brandt, Math. Comp. 31, 1977): the p = 2 eigensolve and
 the continuation in p run on the level-2 sphere, and each finer level runs
-one Newton run at the target p from the prolonged iterate.
+one Newton run at the target p from the prolonged iterate, smoothed first
+by damped Jacobi sweeps (Hackbusch, Multi-Grid Methods and Applications,
+1985).
 
 Each solve owns an isolated workspace and is deterministic; distinct solves
 may run concurrently.
@@ -37,11 +39,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
-from scipy.spatial import cKDTree
 
 from .conformal import (check_conformal_factor, energy_density_weight,
                         measure_density)
@@ -568,6 +568,8 @@ def _p2_eigenvector(prob):
 _STAGES = 4             # equal steps of p from 2 to the target
 _COARSEST = 200         # a chain of coarser meshes ends at this many
                         # vertices or fewer (the level-2 icosphere has 162)
+_RELAX = 2              # damped Jacobi sweeps on each prolonged iterate
+_OMEGA = 0.6            # their damping factor
 _MIN_STEP = 2.0 ** -10  # Newton steps are halved down to this fraction
 _FLAT_STEPS = 3         # a run stops after this many accepted steps in a
                         # row that change R by at most 4 ulp (round-off)
@@ -703,6 +705,30 @@ def weighted_problem(mesh, f, p, fixed=None):
                     measure_density(mesh, f) * mesh.vertex_measure, fixed)
 
 
+def _relax(prob, u, reg):
+    """Up to _RELAX damped Jacobi sweeps u <- project(u - _OMEGA r / d) on a
+    closed problem's Newton system at sigma = R (see _newton_step): d the
+    diagonal of H_N - R p (p-1) diag(normal), r = grad N - R grad D. A sweep
+    is kept while it lowers the regularized quotient R; a vertex where
+    d <= 0 keeps its value. The sweeps smooth the high-frequency error that
+    prolongation leaves."""
+    p, layout = prob.p, prob.layout(bordered=True)
+    for _ in range(_RELAX):
+        num, grad_n = prob.num_and_grad(u, reg)
+        grad_d = prob.den_grad(u)
+        q = num / prob.denominator(u)
+        d = layout.matrix(prob.hessian_blocks(u, reg),
+                          -q * p * (p - 1.0) * prob.normal(u),
+                          grad_d).diagonal()[layout.pos]
+        r = grad_n - q * grad_d
+        trial = prob.project(u - _OMEGA * np.divide(
+            r, d, out=np.zeros_like(r), where=d > 0.0))
+        if not prob.quotient_change(u, trial, reg) < 0.0:
+            break
+        u = trial
+    return u
+
+
 def _coarse_chain(mesh):
     """The mesh's coarser levels down to _COARSEST vertices (see
     coarser_icospheres), built once per mesh."""
@@ -719,11 +745,11 @@ def _path(mesh, f, opts, fixed):
     On the coarsest level of the mesh's chain (the mesh itself when it has
     none) it runs the p = 2 eigensolve and the continuation in p, each
     stage with its own regularization level. Each finer level runs one
-    Newton run at the target p from the prolonged iterate, at the level of
-    its projected start. The coarse factor is f restricted to the coarse
-    vertices, a prefix of the fine ones. Returns the finest run, its
-    iterations summed over every level, with its problem and
-    regularization level.
+    Newton run at the target p from the prolonged iterate, relaxed by
+    _relax, at the level of its projected start. The coarse factor is f
+    restricted to the coarse vertices, a prefix of the fine ones. Returns
+    the finest run, its iterations summed over every level, with its
+    problem and regularization level.
     """
     chain = _coarse_chain(mesh)  # only closed icospheres have one
     meshes = [mesh] + [coarse for coarse, _ in chain]  # finest first
@@ -739,6 +765,8 @@ def _path(mesh, f, opts, fixed):
         prob = weighted_problem(level, f[:level.n_vertices], q, fixed)
         u = prob.project(u if prolong is None else prolong @ u)
         reg = _regularization(prob, u)
+        if prolong is not None:
+            u = _relax(prob, u, reg)
         run = _newton(prob, u, reg, opts.max_iterations - used,
                       opts.residual_target)
         used += run.iterations
@@ -803,13 +831,13 @@ def solve_closed(mesh, f, opts, extra_starts=None):
     than 200 vertices the eigensolve and the continuation run on the
     coarsest level of its chain (coarser_icospheres; the level-2 sphere),
     and each finer level runs Newton at the target p from the prolonged
-    iterate; any other mesh is solved on itself alone. Each of the
-    extra_starts (warm starts included), shifted to the p-mean constraint,
-    gets Newton at the target p on the mesh itself, each run ending at or
-    below the quotient of its shifted start. The result is the lowest
-    eigenvalue among the runs that meet the residual target (among all
-    runs when none does); iterations and max_iterations count the Newton
-    systems of every level and run.
+    iterate after two damped Jacobi sweeps; any other mesh is solved on
+    itself alone. Each of the extra_starts (warm starts included), shifted
+    to the p-mean constraint, gets Newton at the target p on the mesh
+    itself, each run ending at or below the quotient of its shifted start.
+    The result is the lowest eigenvalue among the runs that meet the
+    residual target (among all runs when none does); iterations and
+    max_iterations count the Newton systems of every level and run.
     """
     if mesh.boundary.any():
         raise MeshError("solve_closed needs a closed mesh")
@@ -843,6 +871,7 @@ def mirror_index(mesh, pole=None):
     within 1e-6 shortest edges of a distinct vertex (the icosphere builder
     guarantees this for its own pole axis).
     """
+    from scipy.spatial import cKDTree  # imported on first use
     if pole is None:
         pole = mesh.pole
     n = mesh.vertices[pole]
@@ -979,19 +1008,35 @@ def split_band_plateau(profile, eps, p=None):
 
 # -- 1-D shooting oracle -------------------------------------------------------
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: only the
+    oracle integrates, so no other command pays for the import."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
+
+
 def shooting_eigenvalue_1d(p, mode, halfwidth):
     """First 1-D eigenvalue on (-halfwidth, halfwidth) by the p-sine time map.
 
     The equation -(|u'|^(p-2) u')' = lam |u|^(p-2) u is (p-1)-homogeneous:
     u(c t) solves it at lam = c^p when u solves it at lam = 1 (Drabek &
     Manasevich, Differential Integral Equations 12, 1999). One integration
-    at lam = 1 from (u, |u'|^(p-2) u') = (0, 1) runs to the first zero of
-    the flux, the quarter period T. Both modes span one quarter period on
-    a halfwidth: the Dirichlet eigenfunction rises from u(-h) = 0 to its
-    maximum at 0, the odd Neumann mode from u(0) = 0 to its maximum at h.
+    at lam = 1 from (u, v) = (u, |u'|^(p-2) u') = (0, 1) runs to the first
+    zero of the flux v, the quarter period T. Both modes span one quarter
+    period on a halfwidth: the Dirichlet eigenfunction rises from u(-h) = 0
+    to its maximum at 0, the odd Neumann mode from u(0) = 0 to its maximum
+    at h.
     So lam = (T / h)^p in either mode. Energy conservation bounds the
     quarter period by p (p-1)^(1/p-1); the span is four times that bound.
-    A run that fails or ends without the zero raises ConvergenceError.
+    The solution is not smooth at either end of the quarter period, where
+    |u|^(p-1) and |v|^q (q = 1/(p-1)) have kinks. So the run starts past
+    the first, at t0 with t0^(2p) = 1e-16, from the series u = t - q
+    t^(p+1) / (p (p+1)), v = 1 - t^p / p, whose first neglected terms are
+    O(t^(2p)) relative; and it runs at rtol 1e-13, since at 1e-12 the
+    error estimate misses the second for q near 3 (lam off by up to 1.4e-10
+    near p = 4/3). Over p in [1.05, 10] lam is then within 1.5e-12
+    relative of the closed form. A run that fails or ends without the zero
+    raises ConvergenceError.
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -1009,8 +1054,10 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
     def flux_zero(_, y):
         return y[1]
     flux_zero.terminal, flux_zero.direction = True, -1
-    sol = solve_ivp(rhs, (0.0, 4.0 * p * (p - 1.0) ** (1.0 / p - 1.0)),
-                    (0.0, 1.0), method="DOP853", rtol=1e-12, atol=1e-14,
+    t0 = 1e-16 ** (0.5 / p)
+    start = (t0 - q * t0 ** (p + 1.0) / (p * (p + 1.0)), 1.0 - t0 ** p / p)
+    sol = solve_ivp(rhs, (t0, 4.0 * p * (p - 1.0) ** (1.0 / p - 1.0)),
+                    start, method="DOP853", rtol=1e-13, atol=1e-16,
                     events=flux_zero)
     if sol.status != 1:
         raise ConvergenceError(f"shooting integration failed: {sol.message}")

@@ -537,6 +537,7 @@ class TestShootingOracle:
     @given(p=st.floats(1.05, 10.0), log_h=st.floats(-2.0, 2.0),
            mode=st.sampled_from(["dirichlet", "neumann"]))
     @example(p=4.40625, log_h=0.0, mode="dirichlet")
+    @example(p=1.333984375, log_h=0.0, mode="dirichlet")
     def test_closed_form_over_p_and_halfwidth(self, p, log_h, mode):
         h = 10.0 ** log_h
         pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
@@ -1322,3 +1323,81 @@ class TestCoarseToFine:
             ref = _single_level(mesh, f, opts)
         assert (res.lam, res.iterations) == (ref[0], ref[2])
         assert np.array_equal(res.eigenfunction, ref[1])
+
+
+class TestRelaxation:
+    """Each finer level of a coarse-to-fine solve starts from the prolonged
+    iterate after up to _RELAX damped Jacobi sweeps."""
+
+    @pytest.fixture(scope="class")
+    def starts(self, sphere4):
+        # the level-3 solution prolonged to level 4, projected, and relaxed
+        f = TestCoarseToFine.factor(sphere4, 1)
+        coarse, prolong = psolve._coarse_chain(sphere4)[0]
+        run = solve_closed(coarse, f[:coarse.n_vertices],
+                           SolveOptions(p=1.5, residual_target=1e-6))
+        prob = weighted_problem(sphere4, f, 1.5)
+        prolonged = prob.project(prolong @ run.eigenfunction)
+        reg = psolve._regularization(prob, prolonged)
+        return prob, reg, prolonged, psolve._relax(prob, prolonged, reg)
+
+    @staticmethod
+    def residual(prob, reg, u):
+        num, grad_n = prob.num_and_grad(u, reg)
+        r = grad_n - num / prob.denominator(u) * prob.den_grad(u)
+        return psolve._residual(prob, u, r, grad_n)
+
+    def test_relaxed_start_is_admissible(self, starts):
+        prob, _, _, relaxed = starts
+        assert prob.constraint_defect(relaxed) <= 1e-12
+        assert prob.denominator(relaxed) == pytest.approx(1.0, rel=1e-12)
+
+    def test_relaxed_start_is_lower_and_smoother(self, starts):
+        prob, reg, prolonged, relaxed = starts
+        assert prob.quotient_change(prolonged, relaxed, reg) < 0.0
+        # midpoint prolongation leaves a residual of about 0.56; two sweeps
+        # take it to about 0.11
+        assert (self.residual(prob, reg, relaxed)
+                < 0.5 * self.residual(prob, reg, prolonged))
+
+    def test_sweep_that_raises_the_quotient_is_dropped(self, monkeypatch,
+                                                       starts):
+        prob, reg, prolonged, _ = starts
+        monkeypatch.setattr(psolve, "_OMEGA", 20.0)  # far past the minimum
+        assert psolve._relax(prob, prolonged, reg) is prolonged
+
+    def test_nonpositive_diagonal_keeps_the_value(self, monkeypatch, starts):
+        # near a zero of u at p < 2 the -R p (p-1) |u|^(p-2) rho term
+        # outweighs the Hessian's diagonal; such a vertex takes no step
+        prob, reg, prolonged, _ = starts
+        u = prolonged.copy()
+        i = int(np.argmin(np.abs(u)))
+        u[i] = 1e-9
+        layout = prob.layout(bordered=True)
+        q = prob.numerator(u, reg) / prob.denominator(u)
+        d = layout.matrix(prob.hessian_blocks(u, reg),
+                          -q * 1.5 * 0.5 * prob.normal(u),
+                          prob.den_grad(u)).diagonal()[layout.pos]
+        assert d[i] < 0.0 < np.delete(d, i).min()
+        project, swept = prob.project, []
+        monkeypatch.setattr(prob, "project",
+                            lambda w: swept.append(w) or project(w))
+        psolve._relax(prob, u, reg)
+        assert np.flatnonzero(swept[0] == u).tolist() == [i]
+
+    def test_systems_per_level(self, monkeypatch, sphere4):
+        newton, runs = psolve._newton, []
+
+        def spy(prob, *args):
+            run = newton(prob, *args)
+            runs.append((prob.mesh.n_vertices, run.iterations))
+            return run
+
+        monkeypatch.setattr(psolve, "_newton", spy)
+        f = TestCoarseToFine.factor(sphere4, 1)
+        res = solve_closed(sphere4, f, SolveOptions(p=1.5,
+                                                    residual_target=1e-3))
+        # without the sweeps level 3 takes 3 systems
+        assert runs == [(162, 2), (162, 2), (162, 2), (162, 3), (642, 2),
+                        (2562, 3)]
+        assert res.converged
