@@ -29,7 +29,9 @@ by damped Jacobi sweeps (Hackbusch, Multi-Grid Methods and Applications,
 1985).
 
 Each solve owns an isolated workspace and is deterministic; distinct solves
-may run concurrently.
+may run concurrently. Solves on one mesh share its cached system layouts,
+which they only read, and a layout's kept p = 2 factorization (see
+_p2_eigenvector), which they only solve with.
 """
 
 from __future__ import annotations
@@ -294,6 +296,11 @@ class _Layout:
     pattern is fixed in that order, and the sparse map `scatter` takes the
     stacked [H blocks, shift, c] (per element, per vertex) to its data, so
     assembling a system is one product.
+
+    A layout keeps at most one factorization, the one `solver` was asked to
+    keep (the f-free p = 2 eigensolve system of _p2_eigenvector), while
+    later calls ask for the same key; any other factorization on the layout
+    (a Newton system) drops it, and pickling leaves it out.
     """
 
     def __init__(self, asm, fixed, bordered):
@@ -310,6 +317,7 @@ class _Layout:
             at[order[-1]] = nf
         self.free, self.pos, self.n = free, at[free], n
         self.bordered = bordered
+        self._kept = None  # (key, solve) of the kept factorization
         # the pattern: the key c * n + r of every entry (r, c) of the
         # element matrices (n * n where a vertex is fixed), the diagonal
         # and the border
@@ -364,19 +372,35 @@ class _Layout:
         return csc_matrix((self.scatter @ np.concatenate(parts),
                            self.indices, self.indptr), shape=(self.n, self.n))
 
-    def solver(self, blocks, shift, border=None):
+    def solver(self, blocks, shift, border=None, key=None):
         """Solve with that system on the free vertices, LU-factored in the
         layout's order without pivoting (x = solve(b), both indexed like
         `free`, the border equation's right-hand side zero). Raises splu's
-        RuntimeError when a pivot is exactly zero."""
+        RuntimeError when a pivot is exactly zero.
+
+        With a key (bytes that determine the system), the factorization is
+        kept and returned again while the key stays the same; a call with
+        another key, or none, factors anew and drops the kept one. Threads
+        that race here may each factor the system; the factorizations are
+        bit-equal, so the race costs time only."""
+        kept = self._kept
+        if key is not None and kept is not None and kept[0] == key:
+            return kept[1]
+        self._kept = None
         lu = splu(self.matrix(blocks, shift, border), permc_spec="NATURAL",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        n, pos = self.n, self.pos  # the solve holds no reference to self
 
         def solve(b):
-            y = np.zeros(self.n)
-            y[self.pos] = b
-            return lu.solve(y)[self.pos]
+            y = np.zeros(n)
+            y[pos] = b
+            return lu.solve(y)[pos]
+        if key is not None:
+            self._kept = (key, solve)
         return solve
+
+    def __getstate__(self):
+        return {**self.__dict__, "_kept": None}
 
 
 def _assembly(mesh):
@@ -503,44 +527,62 @@ class _Problem:
 def _dissection_order(coords, pattern, leaf=32):
     """Geometric nested-dissection elimination order.
 
-    Each vertex set is halved at the median of its widest coordinate; the
-    vertices of the lower half with a neighbour (a nonzero of `pattern`) in
-    the upper half form the separator, ordered after both halves. Sets of at
-    most `leaf` vertices keep their order.
+    Each vertex set is halved at the median of its widest coordinate (ties
+    keep their order); the vertices of the lower half with a neighbour (a
+    nonzero of `pattern`) in the upper half form the separator, ordered after
+    both halves. Sets of at most `leaf` vertices keep their order. Each set
+    holds a contiguous run of the order, and all sets of one depth are split
+    together: the sets of a depth share no neighbours (a separator parts the
+    halves), so one mask of all their upper halves finds every separator.
     """
     adj = pattern.tocsr(copy=True)
     adj.data[:] = 1.0
-    upper_mask = np.zeros(adj.shape[0])
-    order = []
-    # (is a finished separator, vertex set); popped depth first, lower half
-    # before upper half before separator
-    stack = [(False, np.arange(adj.shape[0]))]
-    while stack:
-        separator, idx = stack.pop()
-        if separator or idx.size <= leaf:
-            order.append(idx)
-            continue
-        x = coords[idx]
-        axis = int(np.argmax(np.ptp(x, axis=0)))
-        ranked = idx[np.argsort(x[:, axis], kind="stable")]
-        lower, upper = ranked[:idx.size // 2], ranked[idx.size // 2:]
-        upper_mask[upper] = 1.0
-        touches = adj[lower] @ upper_mask > 0.0
-        upper_mask[upper] = 0.0
-        stack += [(True, lower[touches]), (False, upper),
-                  (False, lower[~touches])]
-    return np.concatenate(order)
+    n = adj.shape[0]
+    order = np.arange(n)
+    starts, sizes = np.array([0]), np.array([n])  # the sets still to split
+    while True:
+        split = sizes > leaf
+        starts, sizes = starts[split], sizes[split]
+        if not sizes.size:
+            return order
+        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        which = np.repeat(np.arange(sizes.size), sizes)  # set of each slot
+        rank = np.arange(which.size) - offsets[which]
+        at = starts[which] + rank
+        x = coords[order[at]]
+        axis = np.argmax(np.maximum.reduceat(x, offsets)
+                         - np.minimum.reduceat(x, offsets), axis=1)
+        ranked = order[at][np.lexsort((x[np.arange(which.size), axis[which]],
+                                       which))]
+        upper = rank >= (sizes // 2)[which]
+        mask = np.zeros(n)
+        mask[ranked[upper]] = 1.0
+        separator = ~upper & ((adj @ mask)[ranked] > 0.0)
+        # regroup each set as [lower minus separator, upper, separator]
+        group = 3 * which + np.where(upper, 1, np.where(separator, 2, 0))
+        order[at] = ranked[np.argsort(group, kind="stable")]
+        counts = np.bincount(group, minlength=3 * sizes.size).reshape(-1, 3)
+        starts = np.column_stack([starts, starts + counts[:, 0]]).ravel()
+        sizes = counts[:, :2].ravel()
 
 
 def _p2_eigenvector(prob):
     """First nonzero eigenvector of the pencil (K, diag(rho)) at p = 2.
 
     Shift-invert Lanczos at shift 0 with a fixed start vector; its operator
-    solves with a system factored once in nested-dissection order. Closed
-    and Neumann problems border K by the p = 2 mean constraint rho'u = 0,
-    which removes the constant null mode; Dirichlet problems take K on the
-    free vertices. A singular factorization or a failed ARPACK run raises
-    ConvergenceError.
+    solves with a system factored in nested-dissection order. Closed and
+    Neumann problems border K by the lumped vertex measure, which removes
+    the constant null mode and leaves a system free of rho, and project the
+    operator's input and output to the p = 2 mean constraint rho'u = 0:
+    x -> P K+ P'x with P x = x - 1 (rho'x) / sum rho, the same operator as
+    K bordered by rho. The bordered system depends on the factor only
+    through K's element weights nw, which at p = m (the sphere at p = 2,
+    where the energy is conformally invariant) are the element measures for
+    every factor: its factorization is kept on the mesh's layout (see
+    _Layout) and serves every p = 2 eigensolve on the mesh with bit-equal
+    nw until a Newton system is factored there. Dirichlet problems take K
+    on the free vertices. A singular factorization or a failed ARPACK run
+    raises ConvergenceError.
     """
     closed = prob.fixed is None
     layout = prob.layout(bordered=closed)
@@ -552,13 +594,25 @@ def _p2_eigenvector(prob):
         u[free] = 1.0
         return u
     v0 = np.random.default_rng(0).standard_normal(free.size)
+    rho = prob.rho[free]
     try:
-        solve = layout.solver(prob.stiffness_blocks(), np.zeros_like(u),
-                              prob.rho if closed else None)
+        if closed:
+            solve = layout.solver(prob.stiffness_blocks(), np.zeros_like(u),
+                                  prob.mesh.vertex_measure,
+                                  key=prob.nw.tobytes())
+            total = rho.sum()
+
+            # sums, not BLAS dot products: one BLAS thread or many give
+            # the same bits, and no BLAS threads wake per application
+            def matvec(b):
+                x = solve(b - rho * (b.sum() / total))
+                return x - np.sum(rho * x) / total
+        else:
+            matvec = layout.solver(prob.stiffness_blocks(), np.zeros_like(u))
         # shift-invert eigsh reads only the shape of its matrix argument
-        op = LinearOperator((free.size, free.size), matvec=solve, dtype=float)
-        _, vecs = eigsh(op, k=1, M=diags(prob.rho[free]), sigma=0.0, v0=v0,
-                        OPinv=op)
+        op = LinearOperator((free.size, free.size), matvec=matvec,
+                            dtype=float)
+        _, vecs = eigsh(op, k=1, M=diags(rho), sigma=0.0, v0=v0, OPinv=op)
     except RuntimeError as exc:  # splu: a zero pivot; eigsh: ArpackError
         raise ConvergenceError(f"p = 2 eigensolve failed: {exc}") from exc
     u[free] = vecs[:, 0]
@@ -826,15 +880,19 @@ def solve_closed(mesh, f, opts, extra_starts=None):
     """Minimize the weighted quotient on a closed mesh (p-mean constraint).
 
     At p = 2 this is one sparse eigensolve, the exact discrete minimizer;
-    extra_starts are unused there. Otherwise Newton with continuation in p
-    from the p = 2 eigenvector. On a mesh made by build_icosphere with more
-    than 200 vertices the eigensolve and the continuation run on the
-    coarsest level of its chain (coarser_icospheres; the level-2 sphere),
-    and each finer level runs Newton at the target p from the prolonged
-    iterate after two damped Jacobi sweeps; any other mesh is solved on
-    itself alone. Each of the extra_starts (warm starts included), shifted
-    to the p-mean constraint, gets Newton at the target p on the mesh
-    itself, each run ending at or below the quotient of its shifted start.
+    extra_starts are unused there. On a sphere at p = 2 (p = m) the
+    eigensolve's bordered system is the same for every factor, so the mesh
+    keeps its factorization for the next p = 2 solve and drops it when it
+    factors a Newton system (see _p2_eigenvector). Otherwise Newton with
+    continuation in p from the p = 2 eigenvector. On a mesh made by
+    build_icosphere with more than 200 vertices the eigensolve and the
+    continuation run on the coarsest level of its chain (coarser_icospheres;
+    the level-2 sphere), and each finer level runs Newton at the target p
+    from the prolonged iterate after two damped Jacobi sweeps; any other
+    mesh is solved on itself alone. Each of the extra_starts (warm starts
+    included), shifted to the p-mean constraint, gets Newton at the target
+    p on the mesh itself, each run ending at or below the quotient of its
+    shifted start.
     The result is the lowest eigenvalue among the runs that meet the
     residual target (among all runs when none does); iterations and
     max_iterations count the Newton systems of every level and run.

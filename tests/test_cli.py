@@ -239,6 +239,25 @@ class TestVerifyBound:
         payload = json.loads((outdir / "results.json").read_text())
         assert payload["all_passed"]
 
+    def test_p2_batch_factors_the_stiffness_once(self, tmp_path, outdir,
+                                                  monkeypatch):
+        # at p = 2 the sphere's bordered stiffness is the same for every
+        # factor; the round case factors it and the three others reuse it
+        splu, calls = psolve.splu, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(psolve, "splu", spy)
+        cfg = write_config(tmp_path / "vb.json", {
+            "mesh": {"kind": "icosphere", "level": 3}, "p": 2.0,
+            "n_factors": 3, "seed": 0,
+        })
+        result = run(["verify-bound", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
     def test_corrupted_bound_self_test(self, tmp_path, outdir, monkeypatch):
         bound = bounds.conformal_volume_bound
         monkeypatch.setattr(bounds, "conformal_volume_bound",
@@ -474,9 +493,10 @@ class TestJobs:
         rows = (outdir / "rows.csv").read_text().splitlines()
         assert len(rows) == 4
 
-    def test_parallel_bound_matches_sequential(self, tmp_path):
+    @staticmethod
+    def assert_bound_jobs_parity(tmp_path, p):
         cfg = write_config(tmp_path / "vb.json", {
-            "mesh": {"kind": "icosphere", "level": 2}, "p": 1.5,
+            "mesh": {"kind": "icosphere", "level": 2}, "p": p,
             "n_factors": 3})
         outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
         for jobs, out in zip((1, 2), outs):
@@ -490,6 +510,13 @@ class TestJobs:
         assert ((outs[0] / "results.json").read_bytes()
                 == (outs[1] / "results.json").read_bytes())
 
+    def test_parallel_bound_matches_sequential(self, tmp_path):
+        self.assert_bound_jobs_parity(tmp_path, 1.5)
+
+    def test_parallel_p2_bound_matches_sequential(self, tmp_path):
+        # the sequential cases share one factorization, each worker
+        # factors its own
+        self.assert_bound_jobs_parity(tmp_path, 2.0)
 
     @pytest.mark.parametrize("command,config", [
         ("verify-bound", {"mesh": {"kind": "icosphere", "level": 2},

@@ -1,3 +1,6 @@
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -1032,6 +1035,59 @@ class TestLayout:
         assert np.linalg.norm(hv - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
+# -- the recursive dissection, kept as a test-side reference -----------------
+# The solver split one vertex set at a time, depth first, before it split all
+# sets of one depth together.
+
+def recursive_dissection_order(coords, pattern, leaf=32):
+    """Geometric nested dissection, one set at a time: each set is halved at
+    the median of its widest coordinate, the lower vertices with an upper
+    neighbour are its separator, ordered after both halves."""
+    adj = pattern.tocsr(copy=True)
+    adj.data[:] = 1.0
+    upper_mask = np.zeros(adj.shape[0])
+    order = []
+    # (is a finished separator, vertex set); popped depth first, lower half
+    # before upper half before separator
+    stack = [(False, np.arange(adj.shape[0]))]
+    while stack:
+        separator, idx = stack.pop()
+        if separator or idx.size <= leaf:
+            order.append(idx)
+            continue
+        x = coords[idx]
+        axis = int(np.argmax(np.ptp(x, axis=0)))
+        ranked = idx[np.argsort(x[:, axis], kind="stable")]
+        lower, upper = ranked[:idx.size // 2], ranked[idx.size // 2:]
+        upper_mask[upper] = 1.0
+        touches = adj[lower] @ upper_mask > 0.0
+        upper_mask[upper] = 0.0
+        stack += [(True, lower[touches]), (False, upper),
+                  (False, lower[~touches])]
+    return np.concatenate(order)
+
+
+@pytest.mark.parametrize("kind", ["L2", "L4", "L5", "L6", "hemisphere-L4",
+                                  "circle-4000", "interval-200"])
+def test_dissection_order_matches_the_recursive_one(sphere2, sphere4,
+                                                    sphere5, kind):
+    # an identical order keeps every factorization bit for bit
+    mesh = {"L2": lambda: sphere2, "L4": lambda: sphere4,
+            "L5": lambda: sphere5, "L6": lambda: build_icosphere(6),
+            "hemisphere-L4": lambda: extract_hemisphere(sphere4),
+            "circle-4000": lambda: build_circle(4000, 2.0 * np.pi),
+            "interval-200": lambda: build_interval(200, -1.0, 1.0)}[kind]()
+    el = mesh.elements
+    incidence = csr_matrix((np.ones(el.size), el.ravel(),
+                            np.arange(0, el.size + 1, el.shape[1])),
+                           shape=(el.shape[0], mesh.n_vertices))
+    coords = mesh.vertices.reshape(mesh.n_vertices, -1)
+    pattern = incidence.T @ incidence
+    order = psolve._dissection_order(coords, pattern)
+    assert np.array_equal(order, recursive_dissection_order(coords, pattern))
+    assert np.array_equal(psolve._assembly(mesh).dissection_order, order)
+
+
 class TestBorderedSolve:
     """The mean-constraint border of the p = 2 eigensolve."""
 
@@ -1057,6 +1113,35 @@ class TestBorderedSolve:
         assert (np.linalg.norm(K @ x + mu * rho - b)
                 <= 1e-12 * np.linalg.norm(b))
         assert abs(rho @ x) <= 1e-12 * np.linalg.norm(rho) * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("kind", ["sphere", "hemisphere", "circle"])
+    def test_measure_border_gives_the_rho_operator(self, monkeypatch,
+                                                   sphere3, kind):
+        # the eigensolve borders K by the vertex measure and projects input
+        # and output to rho'x = 0: the operator of K bordered by rho
+        operators = []
+
+        def capture(*args, OPinv, **kwargs):
+            operators.append(OPinv)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(psolve, "eigsh", capture)
+        if kind == "circle":
+            mesh = build_circle(400, 2.0 * np.pi)
+            f = np.exp(np.sin(mesh.vertices))
+        else:
+            mesh = sphere3 if kind == "sphere" else extract_hemisphere(sphere3)
+            f = random_smooth_factor(mesh, seed=2)
+        prob = weighted_problem(mesh, f, 2.0)
+        with pytest.raises(psolve.ConvergenceError, match="captured"):
+            _p2_eigenvector(prob)
+        rho_solve = prob.layout(bordered=True).solver(
+            prob.stiffness_blocks(), np.zeros_like(prob.rho), prob.rho)
+        rng = np.random.default_rng(1)
+        for b in rng.standard_normal((3, mesh.n_vertices)):
+            x = rho_solve(b)
+            assert (np.linalg.norm(operators[0].matvec(b) - x)
+                    <= 1e-10 * np.linalg.norm(x))
 
     def test_extreme_factor_eigensolve(self, monkeypatch):
         # criterion 07's circle at eps 0.05: at a shift of -1e-3 tr K /
@@ -1160,8 +1245,7 @@ class TestNewton:
         assert max(mu for _, mu in shifts) >= 0.5
 
     @pytest.mark.parametrize("kind", ["closed", "dirichlet"])
-    def test_singular_factor_is_a_failed_step(self, monkeypatch, sphere2,
-                                              kind):
+    def test_singular_factor_is_a_failed_step(self, monkeypatch, kind):
         # every Newton factorization fails; the p = 2 eigensolve's does not
         splu, calls = psolve.splu, [0]
 
@@ -1174,7 +1258,10 @@ class TestNewton:
         monkeypatch.setattr(psolve, "splu", singular_after_first)
         opts = SolveOptions(p=1.5)
         if kind == "closed":
-            res = solve_closed(sphere2, ones(sphere2), opts)
+            # a mesh of its own: one that keeps an earlier test's p = 2
+            # factorization would make the first call a Newton one
+            mesh = build_icosphere(2)
+            res = solve_closed(mesh, ones(mesh), opts)
         else:
             res = solve_dirichlet(build_interval(20, -1.0, 1.0), opts)
         # each stage climbs the whole damping ladder, then stops
@@ -1401,3 +1488,106 @@ class TestRelaxation:
         assert runs == [(162, 2), (162, 2), (162, 2), (162, 3), (642, 2),
                         (2562, 3)]
         assert res.converged
+
+
+def _kept_factorizations(mesh):
+    """The factorizations the layouts of mesh and of the coarser levels it
+    has built keep."""
+    chain = getattr(mesh, "_psolve_chain", None) or []
+    meshes = [mesh] + [coarse for coarse, _ in chain]
+    return [layout._kept for m in meshes
+            for layout in psolve._assembly(m)._layouts.values()
+            if layout._kept is not None]
+
+
+class TestKeptFactorization:
+    """At p = m = 2 the bordered stiffness of a closed or Neumann eigensolve
+    does not depend on the factor: a mesh factors it once."""
+
+    @staticmethod
+    def count_splu(monkeypatch):
+        splu, calls = psolve.splu, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(psolve, "splu", spy)
+        return calls
+
+    @staticmethod
+    def factors(mesh, n):
+        return [normalize_unit_volume(mesh, random_smooth_factor(mesh,
+                                                                 seed=s))
+                for s in range(n)]
+
+    def test_sphere_factors_once(self, monkeypatch):
+        mesh = build_icosphere(3)
+        calls = self.count_splu(monkeypatch)
+        for f in [ones(mesh)] + self.factors(mesh, 3):
+            solve_closed(mesh, f, SolveOptions(p=2.0))
+        assert len(calls) == 1
+        hemi = extract_hemisphere(mesh)
+        for f in self.factors(mesh, 2):
+            solve_neumann(hemi, f[hemi.parent_index], SolveOptions(p=2.0))
+        assert len(calls) == 2
+
+    def test_circle_factors_each_factor(self, monkeypatch):
+        # the 1-D stiffness weights the elements by f^(-1/2)
+        mesh = build_circle(400, 2.0 * np.pi)
+        calls = self.count_splu(monkeypatch)
+        for f in [np.exp(np.sin(mesh.vertices)),
+                  np.exp(np.cos(mesh.vertices))]:
+            solve_closed(mesh, f, SolveOptions(p=2.0))
+        assert len(calls) == 2
+
+    def test_kept_factorization_is_bit_identical(self, sphere3):
+        first, second = self.factors(sphere3, 2)
+        mesh = build_icosphere(3)
+        solve_closed(mesh, first, SolveOptions(p=2.0))
+        reused = solve_closed(mesh, second, SolveOptions(p=2.0))
+        fresh = solve_closed(build_icosphere(3), second, SolveOptions(p=2.0))
+        assert reused.lam == fresh.lam
+        assert np.array_equal(reused.eigenfunction, fresh.eigenfunction)
+
+    def test_newton_drops_it(self):
+        mesh = build_icosphere(3)
+        f = self.factors(mesh, 1)[0]
+        solve_closed(mesh, f, SolveOptions(p=2.0))
+        assert len(_kept_factorizations(mesh)) == 1
+        solve_closed(mesh, f, SolveOptions(p=1.5))
+        assert _kept_factorizations(mesh) == []
+
+    def test_mesh_with_a_kept_factorization_pickles(self):
+        mesh = build_icosphere(3)
+        first, second = self.factors(mesh, 2)
+        solve_closed(mesh, first, SolveOptions(p=2.0))
+        copy = pickle.loads(pickle.dumps(mesh))
+        assert _kept_factorizations(copy) == []
+        assert (solve_closed(copy, second, SolveOptions(p=2.0)).lam
+                == solve_closed(mesh, second, SolveOptions(p=2.0)).lam)
+
+    def test_concurrent_solves_share_it(self, monkeypatch, sphere4):
+        # more threads than cores, switching often: a first pass races to
+        # build the layout and its factorization, a second one shares it
+        opts = SolveOptions(p=2.0)
+        factors = self.factors(sphere4, 8)
+        sequential = [solve_closed(sphere4, f, opts).lam for f in factors]
+        mesh = build_icosphere(4)
+        calls = self.count_splu(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                def solve_all():
+                    return list(pool.map(
+                        lambda f: solve_closed(mesh, f, opts).lam, factors,
+                        timeout=120))
+                first = solve_all()
+                raced = len(calls)
+                second = solve_all()
+        finally:
+            sys.setswitchinterval(interval)
+        assert first == second == sequential
+        assert raced >= 1
+        assert len(calls) == raced
