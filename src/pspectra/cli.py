@@ -3,7 +3,8 @@
 Every command reads a single JSON config (all physical parameters explicit),
 writes into --out, and is deterministic for a fixed (config, seed): reruns
 produce byte-identical CSV up to the timestamp header line. Exit codes:
-0 success, 1 validation or I/O error, 2 flagged numerical non-convergence.
+0 success, 1 validation, usage or I/O error, 2 flagged numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -224,7 +225,27 @@ def _save_mesh(mesh, outdir):
         mesh_mod.save_mesh_csv(mesh, outdir / "mesh.csv")
 
 
-@click.group()
+class _Group(click.Group):
+    """A group whose usage errors (an unknown command or option, a missing
+    or malformed option value, no command at all) exit 1 like every other
+    invalid input; exit 2 stays reserved for flagged results."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+
+@click.group(cls=_Group)
 def main():
     """First-eigenvalue experiments on weighted circles and spheres.
 
@@ -326,11 +347,9 @@ def _sweep_case(args):
 
 
 @command
-@click.option("--jobs", default=1, show_default=True,
-              help="Run eps cases concurrently (no warm starts).")
-def sweep_eps(cfg, outdir, jobs):
+def sweep_eps(cfg, outdir):
     """Blow-up sweep: for each eps build the smooth band/plateau factor,
-    solve, and check the growth trend.
+    solve from the previous eps's eigenfunction, and check the growth trend.
 
     Config: mesh (circle|icosphere), p (> mesh dimension), eps (decreasing
     list), solver, seed. CSV columns: eps, lambda (pre-normalization
@@ -350,14 +369,10 @@ def sweep_eps(cfg, outdir, jobs):
         raise ConfigError("eps list must be strictly decreasing")
     for eps in eps_list:
         conformal.smooth_band_plateau_factor(mesh, eps, opts.p)  # validates
-    if jobs == 1:
-        rows, warm = [], None
-        for eps in eps_list:
-            rows.append(_sweep_case((mesh_spec, eps, opts, warm)))
-            warm = rows[-1]["eigenfunction"]
-    else:
-        cases = [(mesh_spec, eps, opts, None) for eps in eps_list]
-        rows = _run_cases(_sweep_case, cases, jobs)
+    rows, warm = [], None
+    for eps in eps_list:
+        rows.append(_sweep_case((mesh_spec, eps, opts, warm)))
+        warm = rows[-1]["eigenfunction"]
     columns = ["eps", "lambda", "volume", "lambda_eps_scaled",
                "lambda_unit_volume"]
     write_csv(outdir / "rows.csv", columns,
@@ -398,7 +413,9 @@ def _bound_case(args):
 
 
 @command
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--jobs", default=1, show_default=True,
+              help="Solve the cases in up to N processes (same rows for "
+                   "every N).")
 def verify_bound(cfg, outdir, jobs):
     """Check solved eigenvalues against the closed-form upper bound.
 

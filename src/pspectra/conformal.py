@@ -73,10 +73,10 @@ def band_plateau_factor(mesh, eps, p):
 
     The band must be resolved by at least 4 element layers.
     """
-    _resolution_guard(mesh, eps)
     m = mesh.dim
     r = mesh.colatitudes
     low = plateau_value(eps, p, m)
+    _resolution_guard(mesh, eps)
     in_band = (r > np.pi / 2 - eps) & (r < np.pi / 2 + eps)
     return np.where(in_band, 1.0, low)
 
@@ -94,10 +94,10 @@ def smooth_band_plateau_factor(mesh, eps, p):
     [pi/2-eps, pi/2+eps], interpolates with a quintic smoothstep in between,
     and is symmetric about the equator: f(pi - r) = f(r).
     """
-    _resolution_guard(mesh, eps)
     m = mesh.dim
     r = mesh.colatitudes
     low = plateau_value(eps, p, m)
+    _resolution_guard(mesh, eps)
     d = np.abs(r - np.pi / 2)  # symmetric in r -> pi - r by construction
     s = _smoothstep((eps - d) / (eps / 2.0))  # 0 at d=eps, 1 at d=eps/2
     return low + (1.0 - low) * s

@@ -462,7 +462,10 @@ def colatitude(mesh, vertex=None):
 def integrate(mesh, density):
     """Integral of a vertex density: element measure times vertex mean."""
     density = check_field(mesh, density, "density")
-    return float(mesh.element_measure @ density[mesh.elements].mean(axis=1))
+    # np.sum, not a BLAS dot: its partial sums do not depend on the number
+    # of BLAS threads, so neither does any solve on a normalized factor
+    return float(np.sum(mesh.element_measure
+                        * density[mesh.elements].mean(axis=1)))
 
 
 # -- serialization ---------------------------------------------------------

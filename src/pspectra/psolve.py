@@ -100,12 +100,12 @@ class SolveOptions:
     residual_target: float = 1e-5
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError("p must exceed 1")
+        if not 1.0 < self.p < np.inf:
+            raise ValueError("p must be finite and exceed 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.residual_target > 0.0:
-            raise ValueError("residual_target must be positive")
+        if not 0.0 < self.residual_target < np.inf:
+            raise ValueError("residual_target must be positive and finite")
 
 
 @dataclass

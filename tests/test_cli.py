@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackError
 
-from pspectra import bounds, build_icosphere, cli, mobius, psolve
+from pspectra import (bounds, build_icosphere, cli, conformal, mobius,
+                      psolve)
 from pspectra.cli import _sweep_case, main
 
 
@@ -84,6 +85,46 @@ class TestEigen:
         assert result.exit_code == 1
         assert "error: invalid solver config" in result.output
         assert "Traceback" not in result.output
+
+    # an infinite residual_target would accept the p = 2 start as the
+    # converged p = 3 result, and an infinite p would fail later with an
+    # unrelated message
+    @pytest.mark.parametrize("key,value,message", [
+        ("p", np.inf, "p must be finite and exceed 1"),
+        ("solver", {"residual_target": np.inf},
+         "residual_target must be positive and finite")],
+        ids=["p", "residual_target"])
+    def test_infinite_solver_value_exits_one(self, tmp_path, outdir, key,
+                                             value, message):
+        cfg = write_config(tmp_path / "bad.json", {
+            "mesh": {"kind": "circle", "n": 20, "length": 2 * np.pi},
+            "p": 3.0, "factor": {"kind": "constant"}, key: value})
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert f"error: {message}" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("factor,builder", [
+        ({"kind": "band_plateau", "eps": 0.5},
+         lambda mesh: conformal.smooth_band_plateau_factor(mesh, 0.5, 3.0)),
+        ({"kind": "band_plateau", "eps": 0.5, "smooth": False},
+         lambda mesh: conformal.band_plateau_factor(mesh, 0.5, 3.0)),
+        ({"kind": "random_smooth", "seed": 3},
+         lambda mesh: conformal.random_smooth_factor(mesh, 3))],
+        ids=["smooth-band", "sharp-band", "random-smooth"])
+    def test_normalized_circle_factor(self, tmp_path, outdir, factor,
+                                      builder):
+        cfg = write_config(tmp_path / "c.json", {
+            "mesh": CIRCLE, "p": 3.0,
+            "factor": {**factor, "normalize": True}})
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 0, result.output
+        lam = json.loads((outdir / "results.json").read_text())["lambda"]
+        mesh = cli.build_mesh(CIRCLE)
+        f = conformal.normalize_unit_volume(mesh, builder(mesh))
+        expected = psolve.solve_closed(mesh, f, psolve.SolveOptions(p=3.0))
+        assert np.isfinite(lam)
+        assert lam == pytest.approx(expected.lam, rel=1e-12)
 
     @pytest.mark.parametrize("problem,mesh", [
         ("closed", CIRCLE),
@@ -205,6 +246,14 @@ class TestSweepEps:
         })
         result = run(["sweep-eps", "--config", cfg, "--out", str(outdir)])
         assert result.exit_code == 1
+
+    def test_rejects_eps_out_of_range(self, tmp_path, outdir):
+        # a negative eps is out of range, not under-resolved
+        cfg = write_config(tmp_path / "sweep.json", {
+            "mesh": CIRCLE, "p": 3.0, "eps": [0.5, -0.1]})
+        result = run(["sweep-eps", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert "error: eps must lie in (0, pi/2)" in result.output
 
     def test_rejects_p_below_dim(self, tmp_path, outdir):
         cfg = write_config(tmp_path / "sweep.json", {
@@ -479,20 +528,6 @@ class TestNonConvergenceFlag:
 
 
 class TestJobs:
-    def test_parallel_sweep_matches_columns(self, tmp_path, outdir):
-        cfg = write_config(tmp_path / "j.json", {
-            "mesh": {"kind": "circle", "n": 800, "length": 2 * np.pi},
-            "p": 3.0, "eps": [0.5, 0.35],
-            "solver": {"multistart": 1, "tolerance": 3e-6,
-                       "residual_target": 1e-3, "max_iterations": 3000},
-            "seed": 0,
-        })
-        result = run(["sweep-eps", "--config", cfg, "--out", str(outdir),
-                      "--jobs", "2"])
-        assert result.exit_code == 0, result.output
-        rows = (outdir / "rows.csv").read_text().splitlines()
-        assert len(rows) == 4
-
     @staticmethod
     def assert_bound_jobs_parity(tmp_path, p):
         cfg = write_config(tmp_path / "vb.json", {
@@ -520,10 +555,7 @@ class TestJobs:
 
     @pytest.mark.parametrize("command,config", [
         ("verify-bound", {"mesh": {"kind": "icosphere", "level": 2},
-                          "p": 2.0, "n_factors": 2}),
-        ("sweep-eps", {"mesh": {"kind": "circle", "n": 800,
-                                "length": 2 * np.pi},
-                       "p": 3.0, "eps": [0.5, 0.35]})])
+                          "p": 2.0, "n_factors": 2})])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_one(self, tmp_path, outdir, command,
                                       config, jobs):
@@ -560,6 +592,31 @@ class TestJobs:
                       "--jobs", "5000"])
         assert result.exit_code == 0, result.output
         assert sizes == [3]
+
+
+class TestUsageErrors:
+    # click exits 2 on these, the code the CLI keeps for flagged results
+    @pytest.mark.parametrize("args,message", [
+        (["--bogus"], "No such option '--bogus'"),
+        (["eigen"], "Missing option '--config'"),
+        (["nope"], "No such command 'nope'"),
+        (["verify-bound", "--config", "c.json", "--jobs", "abc"],
+         "'abc' is not a valid integer"),
+        ([], "Usage:"),
+        (["sweep-eps", "--config", "c.json", "--jobs", "2"],
+         "No such option '--jobs'")],
+        ids=["option", "config", "command", "jobs-value", "bare",
+             "sweep-jobs"])
+    def test_usage_error_exits_one(self, args, message):
+        result = run(args)
+        assert result.exit_code == 1
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args", [["--help"], ["sweep-eps", "--help"]],
+                             ids=["main", "sweep-eps"])
+    def test_help_exits_zero(self, args):
+        assert run(args).exit_code == 0
 
 
 class TestFileMeshInputs:

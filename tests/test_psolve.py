@@ -1,4 +1,6 @@
+import os
 import pickle
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -259,6 +261,27 @@ class TestSolveClosed:
         r2 = solve_closed(sphere2, f, opts)
         assert r1.lam == r2.lam
         assert np.array_equal(r1.eigenfunction, r2.eigenfunction)
+
+    def test_unit_volume_solve_ignores_blas_threads(self):
+        # a unit-volume scale summed by a BLAS dot depends on the thread
+        # count (here in the last bits of lambda); the subprocesses set it
+        # before numpy loads
+        script = ("import numpy as np, pspectra as ps\n"
+                  "mesh = ps.build_icosphere(5)\n"
+                  "f = ps.normalize_unit_volume(\n"
+                  "    mesh, np.ones(mesh.n_vertices))\n"
+                  "opts = ps.SolveOptions(p=1.5, residual_target=1e-3,\n"
+                  "                       max_iterations=9000)\n"
+                  "print(ps.solve_closed(mesh, f, opts).lam.hex())\n")
+        src = os.path.dirname(os.path.dirname(psolve.__file__))
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        hexes = [subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path,
+                            "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+        assert hexes[0] == hexes[1]
 
 
 class TestSolveDirichlet:
