@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -227,7 +226,7 @@ def _save_mesh(mesh, outdir):
 
 class _Group(click.Group):
     """A group whose usage errors (an unknown command or option, a missing
-    or malformed option value, no command at all) exit 1 like every other
+    option or option argument, no command at all) exit 1 like every other
     invalid input; exit 2 stays reserved for flagged results."""
 
     def make_context(self, *args, **kwargs):
@@ -254,7 +253,7 @@ def main():
 
 
 def command(body):
-    """Register body(cfg, outdir, **options) as a command of main.
+    """Register body(cfg, outdir) as a command of main.
 
     The body returns its results payload, a flag message or None, and its
     success line. The command loads --config, creates --out and writes the
@@ -267,12 +266,12 @@ def command(body):
     @click.option("--out", default="pspectra_out", show_default=True,
                   help="Output directory.")
     @functools.wraps(body)
-    def run(config_path, out, **options):
+    def run(config_path, out):
         try:
             cfg = _load_config(config_path)
             outdir = Path(out)
             outdir.mkdir(parents=True, exist_ok=True)
-            payload, flag, message = body(cfg, outdir, **options)
+            payload, flag, message = body(cfg, outdir)
             write_json(outdir / "results.json", payload)
         except (ValueError, OSError, psolve.ConvergenceError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -296,14 +295,13 @@ def eigen(cfg, outdir):
     problem = _get(cfg, "problem", str, "closed")
     if problem == "dirichlet":
         result = psolve.solve_dirichlet(mesh, opts)
-    else:
+    elif problem in ("closed", "neumann"):
         f = build_factor(mesh, _get(cfg, "factor", dict), p=opts.p)
-        if problem == "closed":
-            result = psolve.solve_closed(mesh, f, opts)
-        elif problem == "neumann":
-            result = psolve.solve_neumann(mesh, f, opts)
-        else:
-            raise ConfigError(f"unknown problem {problem!r}")
+        solve = (psolve.solve_closed if problem == "closed"
+                 else psolve.solve_neumann)
+        result = solve(mesh, f, opts)
+    else:
+        raise ConfigError(f"unknown problem {problem!r}")
     conformal.save_factor_csv(result.eigenfunction,
                               outdir / "eigenfunction.csv")
     _save_mesh(mesh, outdir)
@@ -311,18 +309,6 @@ def eigen(cfg, outdir):
             else "solver did not meet its convergence criteria")
     return ({**result.to_json(), "p": opts.p, "problem": problem}, flag,
             f"lambda = {result.lam:.12g}")
-
-
-def _run_cases(fn, cases, jobs):
-    """[fn(case) for case in cases], on up to jobs worker processes (never
-    more workers than cases); jobs below 1 is a ConfigError."""
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    workers = min(jobs, len(cases))  # a fork pool starts them all at once
-    if workers == 1:
-        return [fn(case) for case in cases]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cases))
 
 
 def _sweep_case(args):
@@ -398,25 +384,8 @@ def sweep_eps(cfg, outdir):
             f"lambda grew {lams[-1] / lams[0]:.3g}x over the sweep")
 
 
-def _bound_case(args):
-    (mesh, opts, factor_seed, amplitude, source, genus, orientable,
-     slack) = args
-    if factor_seed is None:
-        f = np.ones(mesh.n_vertices)
-    else:
-        f = conformal.random_smooth_factor(mesh, factor_seed,
-                                           amplitude=amplitude)
-    f = conformal.normalize_unit_volume(mesh, f)
-    return bounds_mod.verify_bound(mesh, f, opts, source=source,
-                                   genus=genus, orientable=orientable,
-                                   tolerance=slack)
-
-
 @command
-@click.option("--jobs", default=1, show_default=True,
-              help="Solve the cases in up to N processes (same rows for "
-                   "every N).")
-def verify_bound(cfg, outdir, jobs):
+def verify_bound(cfg, outdir):
     """Check solved eigenvalues against the closed-form upper bound.
 
     Config: mesh (icosphere), p (1 < p <= 2), n_factors, amplitude, seed,
@@ -434,13 +403,19 @@ def verify_bound(cfg, outdir, jobs):
         raise ConfigError("config key 'n_factors' must be nonnegative")
     if not 0.0 <= slack < np.inf:
         raise ConfigError("config key 'slack' must be finite and nonnegative")
-    shared = (_get(cfg, "amplitude", float, 1.0),
-              _get(cfg, "source", str, "conformal_volume"),
-              _get(cfg, "genus", int, 0), _get(cfg, "orientable", bool, True),
-              slack)
-    factor_seeds = [None] + [seed + i for i in range(n_factors)]
-    cases = [(mesh, opts, s) + shared for s in factor_seeds]
-    reports = _run_cases(_bound_case, cases, jobs)
+    amplitude = _get(cfg, "amplitude", float, 1.0)
+    source = _get(cfg, "source", str, "conformal_volume")
+    genus = _get(cfg, "genus", int, 0)
+    orientable = _get(cfg, "orientable", bool, True)
+    reports = []
+    for factor_seed in [None] + [seed + i for i in range(n_factors)]:
+        f = (np.ones(mesh.n_vertices) if factor_seed is None
+             else conformal.random_smooth_factor(mesh, factor_seed,
+                                                 amplitude=amplitude))
+        f = conformal.normalize_unit_volume(mesh, f)
+        reports.append(bounds_mod.verify_bound(
+            mesh, f, opts, source=source, genus=genus, orientable=orientable,
+            tolerance=slack))
     rows = [[i, r.bound_value, r.computed_lambda, r.slack, int(r.passed)]
             for i, r in enumerate(reports)]
     write_csv(outdir / "rows.csv",

@@ -300,7 +300,7 @@ class _Layout:
     A layout keeps at most one factorization, the one `solver` was asked to
     keep (the f-free p = 2 eigensolve system of _p2_eigenvector), while
     later calls ask for the same key; any other factorization on the layout
-    (a Newton system) drops it, and pickling leaves it out.
+    (a Newton system) drops it.
     """
 
     def __init__(self, asm, fixed, bordered):
@@ -398,9 +398,6 @@ class _Layout:
         if key is not None:
             self._kept = (key, solve)
         return solve
-
-    def __getstate__(self):
-        return {**self.__dict__, "_kept": None}
 
 
 def _assembly(mesh):

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -71,6 +72,15 @@ class TestEigen:
         })
         result = run(["eigen", "--config", cfg, "--out", str(outdir)])
         assert result.exit_code == 1
+
+    def test_unknown_problem_exits_one(self, tmp_path, outdir):
+        # the problem is checked before the factor a dirichlet one omits
+        cfg = write_config(tmp_path / "bad.json", {
+            "mesh": CIRCLE, "p": 2.0, "problem": "bogus"})
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert "error: unknown problem 'bogus'" in result.output
+        assert "Traceback" not in result.output
 
     def test_missing_config_exits_one(self, outdir):
         result = run(["eigen", "--config", "nope.json", "--out", str(outdir)])
@@ -527,96 +537,36 @@ class TestNonConvergenceFlag:
         assert payload["stop_reason"] == "max_iterations"
 
 
-class TestJobs:
-    @staticmethod
-    def assert_bound_jobs_parity(tmp_path, p):
-        cfg = write_config(tmp_path / "vb.json", {
-            "mesh": {"kind": "icosphere", "level": 2}, "p": p,
-            "n_factors": 3})
-        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
-        for jobs, out in zip((1, 2), outs):
-            result = run(["verify-bound", "--config", cfg, "--out", str(out),
-                          "--jobs", str(jobs)])
-            assert result.exit_code == 0, result.output
-        # the first line of rows.csv is the generation timestamp
-        rows = [(out / "rows.csv").read_text().splitlines()[1:]
-                for out in outs]
-        assert rows[0] == rows[1]
-        assert ((outs[0] / "results.json").read_bytes()
-                == (outs[1] / "results.json").read_bytes())
-
-    def test_parallel_bound_matches_sequential(self, tmp_path):
-        self.assert_bound_jobs_parity(tmp_path, 1.5)
-
-    def test_parallel_p2_bound_matches_sequential(self, tmp_path):
-        # the sequential cases share one factorization, each worker
-        # factors its own
-        self.assert_bound_jobs_parity(tmp_path, 2.0)
-
-    @pytest.mark.parametrize("command,config", [
-        ("verify-bound", {"mesh": {"kind": "icosphere", "level": 2},
-                          "p": 2.0, "n_factors": 2})])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_one(self, tmp_path, outdir, command,
-                                      config, jobs):
-        # both values used to run the cases one after another
-        cfg = write_config(tmp_path / "j.json", config)
-        result = run([command, "--config", cfg, "--out", str(outdir),
-                      "--jobs", jobs])
-        assert result.exit_code == 1
-        assert "error: --jobs must be at least 1" in result.output
-
-    def test_workers_capped_at_cases(self, tmp_path, outdir, monkeypatch):
-        # a fork pool starts all its workers at once, so --jobs 5000 forked
-        # 5000 processes for 3 cases; the fake pool starts none
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cases):
-                return map(fn, cases)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        cfg = write_config(tmp_path / "vb.json", {
-            "mesh": {"kind": "icosphere", "level": 2}, "p": 2.0,
-            "n_factors": 2})
-        result = run(["verify-bound", "--config", cfg, "--out", str(outdir),
-                      "--jobs", "5000"])
-        assert result.exit_code == 0, result.output
-        assert sizes == [3]
-
-
 class TestUsageErrors:
     # click exits 2 on these, the code the CLI keeps for flagged results
     @pytest.mark.parametrize("args,message", [
         (["--bogus"], "No such option '--bogus'"),
         (["eigen"], "Missing option '--config'"),
         (["nope"], "No such command 'nope'"),
-        (["verify-bound", "--config", "c.json", "--jobs", "abc"],
-         "'abc' is not a valid integer"),
+        (["eigen", "--config"], "Option '--config' requires an argument"),
         ([], "Usage:"),
         (["sweep-eps", "--config", "c.json", "--jobs", "2"],
+         "No such option '--jobs'"),
+        (["verify-bound", "--config", "c.json", "--jobs", "2"],
          "No such option '--jobs'")],
-        ids=["option", "config", "command", "jobs-value", "bare",
-             "sweep-jobs"])
+        ids=["option", "config", "command", "config-value", "bare",
+             "sweep-jobs", "verify-jobs"])
     def test_usage_error_exits_one(self, args, message):
         result = run(args)
         assert result.exit_code == 1
         assert message in result.output
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("args", [["--help"], ["sweep-eps", "--help"]],
-                             ids=["main", "sweep-eps"])
-    def test_help_exits_zero(self, args):
-        assert run(args).exit_code == 0
+    @pytest.mark.parametrize("name", [None, *main.commands],
+                             ids=["main", *main.commands])
+    def test_help_exits_zero(self, name):
+        # every command takes --config and --out and nothing else
+        if name is not None:
+            command = main.commands[name]
+            assert [p.name for p in command.params] == ["config_path", "out"]
+            assert list(inspect.signature(
+                command.callback.__wrapped__).parameters) == ["cfg", "outdir"]
+        assert run([name, "--help"] if name else ["--help"]).exit_code == 0
 
 
 class TestFileMeshInputs:

@@ -1,5 +1,4 @@
 import os
-import pickle
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -1580,15 +1579,6 @@ class TestKeptFactorization:
         assert len(_kept_factorizations(mesh)) == 1
         solve_closed(mesh, f, SolveOptions(p=1.5))
         assert _kept_factorizations(mesh) == []
-
-    def test_mesh_with_a_kept_factorization_pickles(self):
-        mesh = build_icosphere(3)
-        first, second = self.factors(mesh, 2)
-        solve_closed(mesh, first, SolveOptions(p=2.0))
-        copy = pickle.loads(pickle.dumps(mesh))
-        assert _kept_factorizations(copy) == []
-        assert (solve_closed(copy, second, SolveOptions(p=2.0)).lam
-                == solve_closed(mesh, second, SolveOptions(p=2.0)).lam)
 
     def test_concurrent_solves_share_it(self, monkeypatch, sphere4):
         # more threads than cores, switching often: a first pass races to
