@@ -311,22 +311,18 @@ def eigen(cfg, outdir):
             f"lambda = {result.lam:.12g}")
 
 
-def _sweep_case(args):
-    mesh_spec, eps, opts, warm = args
-    p = opts.p
-    mesh = build_mesh(mesh_spec)
-    f = conformal.smooth_band_plateau_factor(mesh, eps, p)
+def _sweep_case(mesh, eps, opts, warm):
+    f = conformal.smooth_band_plateau_factor(mesh, eps, opts.p)
     vol = conformal.volume(mesh, f)
     result = psolve.solve_closed(
         mesh, f, opts, extra_starts=None if warm is None else [warm])
-    m = mesh.dim
-    lam_unit = vol ** (p / m) * result.lam
+    q = opts.p / mesh.dim  # the exponent of the scaling laws
     return {
         "eps": eps,
         "lambda": result.lam,
         "volume": vol,
-        "lambda_eps_scaled": result.lam * eps ** (p / m),
-        "lambda_unit_volume": lam_unit,
+        "lambda_eps_scaled": result.lam * eps ** q,
+        "lambda_unit_volume": vol ** q * result.lam,
         "converged": result.converged,
         "eigenfunction": result.eigenfunction,
     }
@@ -334,8 +330,9 @@ def _sweep_case(args):
 
 @command
 def sweep_eps(cfg, outdir):
-    """Blow-up sweep: for each eps build the smooth band/plateau factor,
-    solve from the previous eps's eigenfunction, and check the growth trend.
+    """Blow-up sweep on one mesh: for each eps build the smooth band/plateau
+    factor, solve from the previous eps's eigenfunction, and check the
+    growth trend.
 
     Config: mesh (circle|icosphere), p (> mesh dimension), eps (decreasing
     list), solver, seed. CSV columns: eps, lambda (pre-normalization
@@ -345,8 +342,7 @@ def sweep_eps(cfg, outdir):
     strictly increasing and lambda_eps_scaled nondecreasing along
     decreasing eps; exit 2 when the trend or convergence fails.
     """
-    mesh_spec = _get(cfg, "mesh", dict)
-    mesh = build_mesh(mesh_spec)
+    mesh = build_mesh(_get(cfg, "mesh", dict))
     opts = solve_options(cfg)
     if opts.p <= mesh.dim:
         raise ConfigError("blow-up sweep needs p > mesh dimension")
@@ -357,17 +353,16 @@ def sweep_eps(cfg, outdir):
         conformal.smooth_band_plateau_factor(mesh, eps, opts.p)  # validates
     rows, warm = [], None
     for eps in eps_list:
-        rows.append(_sweep_case((mesh_spec, eps, opts, warm)))
+        rows.append(_sweep_case(mesh, eps, opts, warm))
         warm = rows[-1]["eigenfunction"]
     columns = ["eps", "lambda", "volume", "lambda_eps_scaled",
                "lambda_unit_volume"]
     write_csv(outdir / "rows.csv", columns,
               [[r[c] for c in columns] for r in rows])
-    write_svg_loglog(outdir / "chart.svg", [r["eps"] for r in rows],
-                     [r["lambda"] for r in rows],
+    lams = [r["lambda"] for r in rows]
+    write_svg_loglog(outdir / "chart.svg", eps_list, lams,
                      "eigenvalue blow-up sweep", "eps", "lambda")
     _save_mesh(mesh, outdir)
-    lams = [r["lambda"] for r in rows]
     scaled = [r["lambda_eps_scaled"] for r in rows]
     increasing = all(b > a for a, b in zip(lams, lams[1:]))
     nondecreasing = all(b >= a for a, b in zip(scaled, scaled[1:]))

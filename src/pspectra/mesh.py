@@ -540,7 +540,7 @@ def _read_numeric_csv(path, n_fields, n_header):
     """Header lines and the rows of numbers of a CSV file.
 
     Blank lines are skipped; a row that is not n_fields comma-separated
-    numbers is a ValueError naming its line.
+    numbers, the first its vertex index 0, 1, ..., is a ValueError naming it.
     """
     with open(path) as fh:
         header = [fh.readline() for _ in range(n_header)]
@@ -550,12 +550,13 @@ def _read_numeric_csv(path, n_fields, n_header):
                 continue
             fields = line.split(",")
             try:
-                if len(fields) != n_fields:
+                row = [float(x) for x in fields]
+                if len(row) != n_fields or row[0] != len(rows):
                     raise ValueError
-                rows.append([float(x) for x in fields])
             except ValueError:
                 raise ValueError(f"{path}, line {lineno}: expected {n_fields} "
-                                 f"comma-separated numbers") from None
+                                 f"numbers, the first {len(rows)}") from None
+            rows.append(row)
     return header, np.array(rows, dtype=float).reshape(-1, n_fields)
 
 

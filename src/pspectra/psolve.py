@@ -29,9 +29,9 @@ by damped Jacobi sweeps (Hackbusch, Multi-Grid Methods and Applications,
 1985).
 
 Each solve owns an isolated workspace and is deterministic; distinct solves
-may run concurrently. Solves on one mesh share its cached system layouts,
-which they only read, and a layout's kept p = 2 factorization (see
-_p2_eigenvector), which they only solve with.
+may run concurrently. The first solve on a mesh that needs a system layout
+builds and caches it, and a Newton factorization on a layout drops the p = 2
+one it keeps (see _p2_eigenvector); neither changes a later solve's result.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from pspectra import (SolveOptions, balance, balanced_energy_bound,
                       radial_average, random_smooth_factor, reflect_even,
                       shooting_eigenvalue_1d, solve_closed, solve_dirichlet,
                       solve_neumann, split_band_plateau)
-from pspectra.cli import _sweep_case
+from pspectra.cli import _sweep_case, build_mesh
 from pspectra.psolve import quotient_gradient
 
 
@@ -144,11 +144,11 @@ def test_criterion_06_balancing_pipeline(sphere4):
 def test_criterion_07_blowup_trend():
     solver = {"residual_target": 1e-3, "max_iterations": 8000}
     circle_spec = {"kind": "circle", "n": 4000, "length": 2.0 * math.pi}
+    circle = build_mesh(circle_spec)
     rows = []
     warm = None
     for eps in [0.4, 0.2, 0.1, 0.05]:
-        row = _sweep_case((circle_spec, eps, SolveOptions(p=3.0, **solver),
-                           warm))
+        row = _sweep_case(circle, eps, SolveOptions(p=3.0, **solver), warm)
         warm = row["eigenfunction"]
         rows.append(row)
     lams1 = [r["lambda"] for r in rows]
@@ -158,12 +158,12 @@ def test_criterion_07_blowup_trend():
              and lams1[-1] >= 10.0 * lams1[0])
 
     sphere_spec = {"kind": "icosphere", "level": 6}
+    sphere = build_mesh(sphere_spec)
     solver2 = {"residual_target": 1e-3, "max_iterations": 4000}
     rows2 = []
     warm = None
     for eps in [0.5, 0.35, 0.25]:
-        row = _sweep_case((sphere_spec, eps, SolveOptions(p=3.0, **solver2),
-                           warm))
+        row = _sweep_case(sphere, eps, SolveOptions(p=3.0, **solver2), warm)
         warm = row["eigenfunction"]
         rows2.append(row)
     lams2 = [r["lambda"] for r in rows2]

@@ -278,10 +278,44 @@ class TestSweepEps:
         # stopped at 61.04 and reported converged
         opts = psolve.SolveOptions(p=3.0, residual_target=1e-3,
                                    max_iterations=4000)
-        row = _sweep_case(({"kind": "icosphere", "level": 4}, 0.5, opts,
-                           None))
+        mesh = cli.build_mesh({"kind": "icosphere", "level": 4})
+        row = _sweep_case(mesh, 0.5, opts, None)
         assert row["lambda"] <= 10.6
         assert row["converged"]
+
+    def test_builds_one_mesh(self, tmp_path, outdir, monkeypatch):
+        calls = []
+        build_circle = cli.mesh_mod.build_circle
+
+        def counted(*args):
+            calls.append(args)
+            return build_circle(*args)
+        monkeypatch.setattr(cli.mesh_mod, "build_circle", counted)
+        cfg = write_config(tmp_path / "sweep.json", {
+            "mesh": {"kind": "circle", "n": 200, "length": 2 * np.pi},
+            "p": 3.0, "eps": [0.4, 0.3, 0.2]})
+        result = run(["sweep-eps", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    def test_shared_mesh_keeps_bits(self):
+        # each case reuses the layouts, dissection order and coarse chain
+        # that the cases before it cached on the mesh
+        spec = {"kind": "icosphere", "level": 3}
+        opts = psolve.SolveOptions(p=3.0, residual_target=1e-3,
+                                   max_iterations=4000)
+        eps_list = [1.0, 0.85, 0.7]
+
+        def chain(meshes):
+            warm, lams = None, []
+            for mesh, eps in zip(meshes, eps_list):
+                row = _sweep_case(mesh, eps, opts, warm)
+                warm = row["eigenfunction"]
+                lams.append(row["lambda"].hex())
+            return lams
+        shared = cli.build_mesh(spec)
+        assert (chain([shared] * len(eps_list))
+                == chain([cli.build_mesh(spec) for _ in eps_list]))
 
 
 class TestVerifyBound:
@@ -735,6 +769,14 @@ class TestMalformedInputFile:
                                "0,0.0\n1,1.0,1\n"))
     @example(case=("mesh_csv", "# kind=circle\nvertex,coordinate,boundary\n"
                                "0,0.0,0\n1,1.0,0\n2,2.0,0\n"))
+    # vertex columns out of order: reversed, constant, all out of range
+    @example(case=("factor_csv", "vertex,value\n" + "".join(
+        f"{39 - i},{1.0 + i / 40!r}\n" for i in range(40))))
+    @example(case=("factor_csv", "vertex,value\n" + "7,1.0\n" * 40))
+    @example(case=("mesh_csv", f"# kind=circle length={2 * np.pi!r}\n"
+                               "vertex,coordinate,boundary\n" + "".join(
+                                   f"99,{i * 2 * np.pi / 40!r},0\n"
+                                   for i in range(40))))
     @example(case=("off", "OFF\n3 1 0\n1 0 0\n0 1 0\n0 0 1\n"
                           "3 0 1 99999999999999999999\n"))
     @given(case=malformed_files())
