@@ -472,11 +472,12 @@ def dirichlet_scaling(cfg, outdir):
     opts = solve_options(cfg, residual_target=1e-9, max_iterations=60000)
     p = opts.p
     n = _get(cfg, "n", int, 400)
+    eps_list = _get(cfg, "eps", list)
+    oracles = psolve.shooting_eigenvalue_1d(p, "dirichlet", eps_list)
     rows = []
-    for eps in _get(cfg, "eps", list):
+    for eps, oracle in zip(eps_list, oracles):
         fem = psolve.solve_dirichlet(mesh_mod.build_interval(n, -eps, eps),
                                      opts)
-        oracle = psolve.shooting_eigenvalue_1d(p, "dirichlet", eps)
         rows.append([eps, fem.lam, fem.lam * eps ** p,
                      oracle, oracle * eps ** p])
     write_csv(outdir / "rows.csv",

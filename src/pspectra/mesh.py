@@ -1,8 +1,16 @@
 """Simplicial models of the interval, circle, sphere and hemisphere.
 
 Meshes carry base-metric element measures (Euclidean length in 1-D, flat
-triangle area in 2-D) and are immutable after construction: all arrays are
-marked read-only, so instances can be shared freely between threads.
+triangle area in 2-D). Every array a mesh holds is marked read-only: the
+ones given at construction (vertices, elements, element measures, boundary
+flags, parent index) and the ones derived on first use (vertex measure,
+edge lengths, colatitudes). A mesh is not frozen, though: those derived
+arrays are cached lazily, and solves attach psolve's caches to the mesh:
+`_psolve_assembly` (the edge-difference operator and one system layout per
+kind of system, each keeping at most one factorization that a later one
+replaces) and `_psolve_chain` (the coarser levels of an icosphere, empty
+for other meshes). None of these caches changes a result; threads that
+share a mesh may build one twice, which costs time only.
 """
 
 from __future__ import annotations

@@ -1073,6 +1073,10 @@ def solve_ivp(*args, **kwargs):
 def shooting_eigenvalue_1d(p, mode, halfwidth):
     """First 1-D eigenvalue on (-halfwidth, halfwidth) by the p-sine time map.
 
+    halfwidth is a number, or a non-empty sequence of them for a list of
+    eigenvalues; either way p must be finite and exceed 1, and every
+    halfwidth must be finite and positive (ValueError otherwise).
+
     The equation -(|u'|^(p-2) u')' = lam |u|^(p-2) u is (p-1)-homogeneous:
     u(c t) solves it at lam = c^p when u solves it at lam = 1 (Drabek &
     Manasevich, Differential Integral Equations 12, 1999). One integration
@@ -1081,8 +1085,11 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
     period on a halfwidth: the Dirichlet eigenfunction rises from u(-h) = 0
     to its maximum at 0, the odd Neumann mode from u(0) = 0 to its maximum
     at h.
-    So lam = (T / h)^p in either mode. Energy conservation bounds the
-    quarter period by p (p-1)^(1/p-1); the span is four times that bound.
+    So lam = (T / h)^p in either mode, and a call with several halfwidths
+    shares the one integration: each entry equals the one-halfwidth call's
+    value bit for bit.
+    Energy conservation bounds the quarter period by p (p-1)^(1/p-1); the
+    span is four times that bound.
     The solution is not smooth at either end of the quarter period, where
     |u|^(p-1) and |v|^q (q = 1/(p-1)) have kinks. So the run starts past
     the first, at t0 with t0^(2p) = 1e-16, from the series u = t - q
@@ -1093,12 +1100,14 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
     relative of the closed form. A run that fails or ends without the zero
     raises ConvergenceError.
     """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    if not 1.0 < p < math.inf:
+        raise ValueError("p must be finite and exceed 1")
     if mode not in ("dirichlet", "neumann"):
         raise ValueError("mode must be 'dirichlet' or 'neumann'")
-    if halfwidth <= 0:
-        raise ValueError("halfwidth must be positive")
+    many = np.ndim(halfwidth) > 0
+    widths = list(halfwidth) if many else [halfwidth]
+    if not widths or not all(0.0 < h < math.inf for h in widths):
+        raise ValueError("halfwidths must be finite and positive")
     q = 1.0 / (p - 1.0)
 
     def rhs(_, y):
@@ -1116,4 +1125,5 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
                     events=flux_zero)
     if sol.status != 1:
         raise ConvergenceError(f"shooting integration failed: {sol.message}")
-    return float((sol.t_events[0][0] / halfwidth) ** p)
+    lams = [float((sol.t_events[0][0] / h) ** p) for h in widths]
+    return lams if many else lams[0]

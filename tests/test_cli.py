@@ -475,6 +475,38 @@ class TestDirichletScaling:
         assert payload["oracle_scaled"][0] == pytest.approx(
             np.pi ** 2 / 4, rel=1e-8)
 
+    def test_one_integration_per_command(self, tmp_path, outdir,
+                                         monkeypatch):
+        eps = [1.0, 0.5, 0.25]
+        scalar = [psolve.shooting_eigenvalue_1d(3.0, "dirichlet", e).hex()
+                  for e in eps]
+        solve_ivp, calls = psolve.solve_ivp, [0]
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls[0] += 1
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(psolve, "solve_ivp", counting_solve_ivp)
+        cfg = write_config(tmp_path / "d.json", {
+            "p": 3.0, "eps": eps, "n": 40, "seed": 0})
+        result = run(["dirichlet-scaling", "--config", cfg,
+                      "--out", str(outdir)])
+        assert result.exit_code == 0, result.output
+        assert calls[0] == 1
+        rows = (outdir / "rows.csv").read_text().splitlines()[2:]
+        assert [float(r.split(",")[3]).hex() for r in rows] == scalar
+
+    @pytest.mark.parametrize("eps", [[1.0, 0.0], [-0.5], [0.5, -0.25]])
+    def test_nonpositive_eps_exits_one(self, tmp_path, outdir, eps):
+        cfg = write_config(tmp_path / "d.json", {
+            "p": 2.0, "eps": eps, "n": 40, "seed": 0})
+        result = run(["dirichlet-scaling", "--config", cfg,
+                      "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith("error: ")
+        assert "Traceback" not in result.output
+
 
 class TestBalanceCommand:
     def test_cap_density(self, tmp_path, outdir):

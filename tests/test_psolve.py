@@ -591,11 +591,47 @@ class TestShootingOracle:
         with pytest.raises(psolve.ConvergenceError, match="too small"):
             shooting_eigenvalue_1d(2.0, mode, 1.0)
 
+    @pytest.mark.parametrize("mode", ["dirichlet", "neumann"])
+    def test_halfwidth_list_shares_one_integration(self, monkeypatch, mode):
+        widths = [1.0, 0.5, 0.25, 0.1, 3.0]
+        scalar = {p: [shooting_eigenvalue_1d(p, mode, h).hex()
+                      for h in widths] for p in (1.5, 2.0, 3.0)}
+        solve_ivp, calls = psolve.solve_ivp, [0]
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls[0] += 1
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(psolve, "solve_ivp", counting_solve_ivp)
+        for p in scalar:
+            calls[0] = 0
+            lams = shooting_eigenvalue_1d(p, mode, widths)
+            assert calls[0] == 1
+            assert all(type(lam) is float for lam in lams)
+            assert [lam.hex() for lam in lams] == scalar[p]
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             shooting_eigenvalue_1d(1.0, "dirichlet", 1.0)
         with pytest.raises(ValueError):
             shooting_eigenvalue_1d(2.0, "robin", 1.0)
+
+    # each is refused before any integration: an infinite p would integrate
+    # without end, and a NaN or infinite halfwidth would give nan or 0.0
+    @pytest.mark.parametrize("p,halfwidth", [
+        (float("inf"), 1.0), (2.0, float("nan")), (2.0, float("inf")),
+        (2.0, []), (2.0, [1.0, 0.0]), (2.0, [0.5, -1.0]),
+        (2.0, [1.0, float("nan")])],
+        ids=["infinite-p", "nan-halfwidth", "infinite-halfwidth",
+             "empty-list", "zero-in-list", "negative-in-list", "nan-in-list"])
+    def test_invalid_input_refused_before_integrating(self, monkeypatch, p,
+                                                      halfwidth):
+        def no_solve_ivp(*args, **kwargs):
+            raise AssertionError("the integration started")
+
+        monkeypatch.setattr(psolve, "solve_ivp", no_solve_ivp)
+        with pytest.raises(ValueError, match="finite"):
+            shooting_eigenvalue_1d(p, "dirichlet", halfwidth)
 
 
 class TestSolverInternals:
