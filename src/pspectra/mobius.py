@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
 from .conformal import measure_density
 from .mesh import check_field
-from .psolve import weighted_problem
+from .psolve import check_p, weighted_problem
 
 __all__ = [
     "MobiusMap",
@@ -152,6 +151,13 @@ def _check_tol(tol):
         raise ValueError("tol must be positive")
 
 
+def root(*args, **kwargs):
+    """scipy.optimize.root, imported on the first call: only balance
+    root-finds, so no other command pays for the import."""
+    from scipy.optimize import root
+    return root(*args, **kwargs)
+
+
 def _params_to_map(v):
     kappa = float(np.linalg.norm(v))
     if kappa == 0.0:
@@ -175,8 +181,10 @@ def balance(mesh, phi, density, p, tol=1e-6):
     started from the previous root, and a step whose root misses tol is
     halved. Below a fixed step floor the search stops and returns the best
     root found at p, flagged as not converged. `evaluations` counts the
-    moment_vector calls, Jacobian differences included.
+    moment_vector calls, Jacobian differences included. p must be finite and
+    exceed 1 (ValueError otherwise). The first call loads scipy.optimize.
     """
+    check_p(p)
     _check_tol(tol)
     phi = np.asarray(phi, dtype=float)
     if phi.shape[1] != 3:

@@ -37,11 +37,11 @@ one it keeps (see _p2_eigenvector); neither changes a later solve's result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.sparse import csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -69,6 +69,12 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+
+
+def check_p(p):
+    """Reject an exponent outside (1, inf): ValueError, nan included."""
+    if not 1.0 < p < math.inf:
+        raise ValueError("p must be finite and exceed 1")
 
 
 class DegenerateFieldError(ValueError):
@@ -100,8 +106,7 @@ class SolveOptions:
     residual_target: float = 1e-5
 
     def __post_init__(self):
-        if not 1.0 < self.p < np.inf:
-            raise ValueError("p must be finite and exceed 1")
+        check_p(self.p)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.residual_target < np.inf:
@@ -187,13 +192,18 @@ def p_shift(u, weights, p):
 
     The balance is strictly decreasing in c, positive at the least and
     negative at the greatest value of u on the weights' support, so c is
-    its unique root between the two: one Brent solve (brentq) on that
-    bracket, to 4 ulps. A run that reaches brentq's step cap returns its
-    last iterate. (The balance has a power-law kink at each data value; a
-    root next to one may leave a residue that no float removes.)
+    its unique root between the two: one Brent solve (_brentq, the exact
+    port of scipy's brentq) on that bracket, to 4 ulps. A run that reaches
+    the step cap returns its last iterate. (The balance has a power-law kink
+    at each data value; a root next to one may leave a residue that no float
+    removes.) p must be finite and exceed 1, and u and weights finite
+    (ValueError otherwise).
     """
+    check_p(p)
     u = np.asarray(u, dtype=float)
     w = np.asarray(weights, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(w).all()):
+        raise ValueError("u and weights must be finite")
     if np.any(w < 0.0) or not np.any(w > 0.0):
         raise ValueError("weights must be nonnegative and not all zero")
     support = w > 0.0
@@ -208,9 +218,69 @@ def p_shift(u, weights, p):
         e = u - c
         return float(np.sum(np.sign(e) * np.abs(e) ** (p - 1.0) * w))
 
-    xtol = 4.0 * np.spacing(max(abs(lo), abs(hi)))
-    return brentq(balance, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps,
-                  disp=False)
+    return _brentq(balance, lo, hi, 4.0 * math.ulp(max(abs(lo), abs(hi))),
+                   4.0 * sys.float_info.epsilon)
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f between a and b, where f changes sign: a line-for-line
+    port of brentq.c in scipy.optimize (Brent, Algorithms for Minimization
+    Without Derivatives, 1973, ch. 4).
+
+    The float operations and their order are C's, so the result equals
+    scipy.optimize.brentq(f, a, b, xtol, rtol, maxiter, disp=False) bit for
+    bit; after maxiter steps the last iterate is returned. Arguments are
+    Python floats, as f's values must be. A zero divisor gives inf or nan in
+    C, which fails the short-step test, so here it bisects; a nan value of f
+    raises ValueError, as scipy's wrapper does.
+    """
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # fails the short-step test below: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre, scur = sbis, sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    return xcur
 
 
 def _power_change(x, dx, s):
@@ -748,8 +818,10 @@ def weighted_problem(mesh, f, p, fixed=None):
     element), denominator(u) integrates |u|^p f^(m/2) under the lumped vertex
     measure, gradsq(u) is the per-element |du|^2 and constraint_defect(u) the
     relative weighted p-mean of u. fixed, a boolean vertex mask, pins those
-    vertices to zero in place of the p-mean constraint (Dirichlet).
+    vertices to zero in place of the p-mean constraint (Dirichlet). p must
+    be finite and exceed 1 (ValueError otherwise).
     """
+    check_p(p)
     f = check_conformal_factor(mesh, f)
     ew = _element_mean(mesh, energy_density_weight(mesh, f, p))
     return _Problem(mesh, p, mesh.element_measure * ew,
@@ -1100,8 +1172,7 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
     relative of the closed form. A run that fails or ends without the zero
     raises ConvergenceError.
     """
-    if not 1.0 < p < math.inf:
-        raise ValueError("p must be finite and exceed 1")
+    check_p(p)
     if mode not in ("dirichlet", "neumann"):
         raise ValueError("mode must be 'dirichlet' or 'neumann'")
     many = np.ndim(halfwidth) > 0

@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -633,6 +636,38 @@ class TestUsageErrors:
             assert list(inspect.signature(
                 command.callback.__wrapped__).parameters) == ["cfg", "outdir"]
         assert run([name, "--help"] if name else ["--help"]).exit_code == 0
+
+
+class TestStartup:
+    def test_solves_without_root_finding_leave_scipy_optimize_unloaded(
+            self, tmp_path):
+        # only balance (MINPACK root) and dirichlet-scaling (solve_ivp)
+        # load scipy.optimize; a fresh interpreter shows what the rest load
+        bound = write_config(tmp_path / "vb.json", {
+            "mesh": {"kind": "icosphere", "level": 2}, "p": 1.5,
+            "n_factors": 1, "seed": 0})
+        eigen = write_config(tmp_path / "e.json", {
+            "mesh": {"kind": "icosphere", "level": 2}, "p": 1.5,
+            "factor": {"kind": "constant", "value": 1.0},
+            "problem": "closed", "seed": 0})
+        script = f"""
+import sys
+from pspectra.cli import main
+assert "scipy.optimize" not in sys.modules, "import"
+for name, cfg in [("verify-bound", {bound!r}), ("eigen", {eigen!r})]:
+    main([name, "--config", cfg, "--out", {str(tmp_path)!r} + "/" + name],
+         standalone_mode=False)
+    assert "scipy.optimize" not in sys.modules, name
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        for name in ("verify-bound", "eigen"):
+            assert (tmp_path / name / "results.json").exists()
 
 
 class TestFileMeshInputs:

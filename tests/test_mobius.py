@@ -324,6 +324,20 @@ class TestBalance:
         with pytest.raises(ValueError, match="tol"):
             balanced_energy_bound(sphere2, f, sphere2.vertices, 2.0, tol=tol)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan, 1.0, 0.5])
+    def test_rejects_bad_p_before_root_finding(self, sphere2, p,
+                                               monkeypatch):
+        def no_root(*args, **kwargs):
+            raise AssertionError("root called before the p check")
+
+        monkeypatch.setattr(mobius, "root", no_root)
+        dens = np.ones(sphere2.n_vertices)
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            balance(sphere2, sphere2.vertices, dens, p)
+        f = normalize_unit_volume(sphere2, dens)
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            balanced_energy_bound(sphere2, f, sphere2.vertices, p)
+
     def test_p2_matches_center_of_mass_oracle(self, sphere3):
         # independent p = 2 solver: root-find the mapped coordinate means
         from scipy.optimize import root

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.sparse import bmat, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, norm as sparse_norm
 
@@ -23,7 +25,7 @@ from pspectra import (DegenerateFieldError, DiscreteManifold, MeshError,
                       save_off, solve_closed, solve_dirichlet,
                       solve_neumann, split_band_plateau)
 from pspectra import psolve
-from pspectra.psolve import (_TINY, _gram_inverse, _p2_eigenvector,
+from pspectra.psolve import (_TINY, _brentq, _gram_inverse, _p2_eigenvector,
                              quotient_gradient, weighted_problem)
 
 
@@ -148,6 +150,108 @@ class TestPShift:
         assert p_shift(u, 4.0 * w, p) == c
         assert p_shift(u, 3.7 * w, p) == pytest.approx(
             c, abs=1e-13 * (u.max() - u.min()))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("arg", ["u", "weights"])
+    def test_non_finite_input_rejected(self, p, bad, arg):
+        # at p = 2 the weighted mean would turn these into nan or inf
+        u, w = np.array([0.0, 1.0, 2.0]), np.ones(3)
+        (u if arg == "u" else w)[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            p_shift(u, w, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1.1, 6.0), st.integers(0, 2 ** 31 - 1))
+    @example(1.25, 2691)
+    def test_matches_scipy_brentq(self, p, seed):
+        # the inputs of test_balance_root_property; p = 2 is a closed form
+        assume(p != 2.0)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(30)
+        w = rng.random(30) + 0.05
+        lo, hi = float(u.min()), float(u.max())
+
+        def balance(c):
+            e = u - c
+            return float(np.sum(np.sign(e) * np.abs(e) ** (p - 1.0) * w))
+
+        expected = brentq(balance, lo, hi,
+                          xtol=4.0 * np.spacing(max(abs(lo), abs(hi))),
+                          rtol=4.0 * np.finfo(float).eps, disp=False)
+        assert p_shift(u, w, p).hex() == expected.hex()
+
+
+BRENT_FUNCTIONS = {
+    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 1.0, 3.0),
+    "exp": (lambda x: math.exp(x) - 3.0, 0.0, 3.0),
+    "atan": (lambda x: math.atan(x - 0.3), -2.0, 4.0),
+    "root-kink": (lambda x: math.copysign(abs(x - 0.1) ** 0.3, x - 0.1),
+                  -1.0, 1.0),
+    "cos": (lambda x: math.cos(x) - x, 0.0, 1.5),
+}
+RTOL = 4.0 * sys.float_info.epsilon
+
+
+class TestBrentqPort:
+    """_brentq against scipy.optimize.brentq, compared by .hex()."""
+
+    @pytest.mark.parametrize("name", BRENT_FUNCTIONS)
+    # below about 1e-150 the interpolation divisors underflow to zero
+    # (cubic and exp), which must bisect as C's inf or nan does
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-300])
+    @pytest.mark.parametrize("xtol", [2e-12, 5e-324])
+    def test_scaled_values(self, name, scale, xtol):
+        f, a, b = BRENT_FUNCTIONS[name]
+
+        def g(x):
+            return scale * f(x)
+
+        for lo, hi in ((a, b), (b, a)):
+            expected = brentq(g, lo, hi, xtol=xtol, rtol=RTOL, disp=False)
+            assert _brentq(g, lo, hi, xtol, RTOL).hex() == expected.hex()
+
+    @pytest.mark.parametrize("name", BRENT_FUNCTIONS)
+    @pytest.mark.parametrize("maxiter", range(1, 9))
+    def test_capped_runs_return_the_last_iterate(self, name, maxiter):
+        f, a, b = BRENT_FUNCTIONS[name]
+        expected = brentq(f, a, b, xtol=2e-12, rtol=RTOL, maxiter=maxiter,
+                          disp=False)
+        assert _brentq(f, a, b, 2e-12, RTOL, maxiter).hex() == expected.hex()
+
+    def test_nan_value_raises(self):
+        def f(x):
+            return math.nan if x > 0.5 else 1.0
+
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, 0.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(f, 0.0, 1.0, 2e-12, RTOL)
+
+    def test_bracket_without_sign_change_raises(self):
+        def f(x):
+            return 1e-200 * x  # f(a) f(b) underflows, the signs still agree
+
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(f, 1.0, 2.0)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(f, 1.0, 2.0, 2e-12, RTOL)
+
+
+@pytest.mark.parametrize("p", [np.inf, np.nan, 1.0, 0.5])
+@pytest.mark.parametrize("entry", [
+    lambda mesh, p: SolveOptions(p=p),
+    lambda mesh, p: weighted_problem(mesh, ones(mesh), p),
+    lambda mesh, p: rayleigh_quotient(mesh, ones(mesh), p,
+                                      mesh.vertices[:, 2]),
+    lambda mesh, p: quotient_gradient(mesh, ones(mesh), p,
+                                      mesh.vertices[:, 2]),
+    lambda mesh, p: p_shift(mesh.vertices[:, 2], mesh.vertex_measure, p),
+], ids=["SolveOptions", "weighted_problem", "rayleigh_quotient",
+        "quotient_gradient", "p_shift"])
+def test_entry_points_reject_p(sphere2, entry, p):
+    with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+        entry(sphere2, p)
 
 
 def sign_split_shift(u, weights, p):
