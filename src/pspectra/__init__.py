@@ -3,7 +3,7 @@ conformal weights, with closed-form upper-bound checks and experiment
 commands."""
 
 from .mesh import (DiscreteManifold, MeshError, build_circle, build_icosphere,
-                   build_interval, colatitude, extract_hemisphere, integrate,
+                   build_interval, extract_hemisphere, integrate,
                    load_mesh_csv, load_off, save_mesh_csv, save_off)
 from .conformal import (band_plateau_factor, cap_density,
                         energy_density_weight, load_factor_csv,

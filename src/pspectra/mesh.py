@@ -30,7 +30,6 @@ __all__ = [
     "build_icosphere",
     "coarser_icospheres",
     "extract_hemisphere",
-    "colatitude",
     "integrate",
     "save_off",
     "load_off",
@@ -149,10 +148,6 @@ class DiscreteManifold:
     @property
     def n_elements(self):
         return self.elements.shape[0]
-
-    @property
-    def total_measure(self):
-        return float(self.element_measure.sum())
 
     @cached_property
     def vertex_measure(self):
@@ -410,24 +405,22 @@ def coarser_icospheres(mesh, floor):
     return chain
 
 
-def extract_hemisphere(mesh, pole=None):
+def extract_hemisphere(mesh):
     """Submesh of all elements on the pole side of the equator.
 
-    Requires a conforming ring of vertices at colatitude pi/2 around `pole`
-    (no element may straddle the equator); the ring is boundary-flagged in
-    the extracted mesh.
+    Requires a conforming ring of vertices at colatitude pi/2 around the
+    mesh's pole (no element may straddle the equator); the ring is
+    boundary-flagged in the extracted mesh, which keeps the pole.
     """
     if mesh.kind != "sphere":
         raise MeshError("hemisphere extraction needs a sphere mesh")
-    if pole is None:
-        pole = mesh.pole
-    colat = np.arccos(np.clip(mesh.vertices @ mesh.vertices[pole], -1, 1))
+    colat = mesh.colatitudes
     elem_colat = colat[mesh.elements]
     keep = np.all(elem_colat <= np.pi / 2 + EQUATOR_TOL, axis=1)
     conforming = np.all(elem_colat[~keep] >= np.pi / 2 - EQUATOR_TOL)
     if not conforming:
         raise MeshError("sphere mesh has no conforming equator ring "
-                        "around the requested pole")
+                        "around its pole")
     used = np.unique(mesh.elements[keep])
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
@@ -438,7 +431,7 @@ def extract_hemisphere(mesh, pole=None):
         remap[mesh.elements[keep]],
         mesh.element_measure[keep],
         boundary,
-        pole=int(remap[pole]),
+        pole=int(remap[mesh.pole]),
         parent_index=used,
     )
 
@@ -454,17 +447,6 @@ def check_field(mesh, values, name="field"):
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} contains non-finite values")
     return values
-
-
-def colatitude(mesh, vertex=None):
-    """Colatitude of one vertex (or all) with respect to the mesh pole.
-
-    On spheres this is arccos of the inner product with the pole vertex; on
-    circles the arc distance from the pole rescaled to [0, pi].
-    """
-    if vertex is None:
-        return mesh.colatitudes
-    return float(mesh.colatitudes[vertex])
 
 
 def integrate(mesh, density):

@@ -54,14 +54,6 @@ class MobiusMap:
     def log_dilation(self):
         return (1.0 - self.t) / self.t
 
-    def inverse(self):
-        """The inverse dilation: same t, pole flipped to the antipode.
-
-        (Contracting toward -a by the same factor undoes the expansion
-        toward a; the formal t' with negated log-dilation leaves (0, 1].)
-        """
-        return MobiusMap(-np.asarray(self.pole), self.t)
-
     def apply(self, x):
         """Apply the map to points of the sphere (vectorized).
 

@@ -663,10 +663,11 @@ def _p2_eigenvector(prob):
     v0 = np.random.default_rng(0).standard_normal(free.size)
     rho = prob.rho[free]
     try:
+        # an unbordered (Dirichlet) layout ignores the border
+        solve = layout.solver(prob.stiffness_blocks(), np.zeros_like(u),
+                              prob.mesh.vertex_measure,
+                              key=prob.nw.tobytes() if closed else None)
         if closed:
-            solve = layout.solver(prob.stiffness_blocks(), np.zeros_like(u),
-                                  prob.mesh.vertex_measure,
-                                  key=prob.nw.tobytes())
             total = rho.sum()
 
             # sums, not BLAS dot products: one BLAS thread or many give
@@ -674,11 +675,9 @@ def _p2_eigenvector(prob):
             def matvec(b):
                 x = solve(b - rho * (b.sum() / total))
                 return x - np.sum(rho * x) / total
-        else:
-            matvec = layout.solver(prob.stiffness_blocks(), np.zeros_like(u))
         # shift-invert eigsh reads only the shape of its matrix argument
-        op = LinearOperator((free.size, free.size), matvec=matvec,
-                            dtype=float)
+        op = LinearOperator((free.size, free.size),
+                            matvec=matvec if closed else solve, dtype=float)
         _, vecs = eigsh(op, k=1, M=diags(rho), sigma=0.0, v0=v0, OPinv=op)
     except RuntimeError as exc:  # splu: a zero pivot; eigsh: ArpackError
         raise ConvergenceError(f"p = 2 eigensolve failed: {exc}") from exc
@@ -991,17 +990,15 @@ def solve_dirichlet(mesh, opts):
 
 # -- even reflection ----------------------------------------------------------
 
-def mirror_index(mesh, pole=None):
-    """Index of each vertex's mirror across the pole's equator plane.
+def mirror_index(mesh):
+    """Index of each vertex's mirror across the mesh pole's equator plane.
 
     Requires the mesh to be mirror-symmetric: every mirrored vertex must land
     within 1e-6 shortest edges of a distinct vertex (the icosphere builder
-    guarantees this for its own pole axis).
+    guarantees this for its own pole).
     """
     from scipy.spatial import cKDTree  # imported on first use
-    if pole is None:
-        pole = mesh.pole
-    n = mesh.vertices[pole]
+    n = mesh.vertices[mesh.pole]
     mirrored = mesh.vertices - 2.0 * (mesh.vertices @ n)[:, None] * n
     dist, out = cKDTree(mesh.vertices).query(mirrored)
     if (np.max(dist) > 1e-6 * mesh.min_edge_length
@@ -1019,8 +1016,7 @@ def reflect_even(values, hemisphere, sphere):
     values = check_field(hemisphere, values, "hemisphere field")
     if hemisphere.parent_index is None:
         raise MeshError("hemisphere does not record its parent mesh")
-    parent_pole = int(hemisphere.parent_index[hemisphere.pole])
-    mirror = mirror_index(sphere, pole=parent_pole)
+    mirror = mirror_index(sphere)
     w = np.full(sphere.n_vertices, np.nan)
     w[hemisphere.parent_index] = values
     missing = np.isnan(w)
@@ -1034,14 +1030,11 @@ def reflect_even(values, hemisphere, sphere):
 
 @dataclass
 class RadialProfile:
-    """Colatitude-band profile of |u| in the p-mean sense, plus the band
-    measures needed for the averaging comparisons."""
+    """Colatitude-band profile of |u| in the p-mean sense, with the two
+    comparisons radial_average certifies."""
 
     r: np.ndarray                  # band centers
     values: np.ndarray             # (band mean of |u|^p)^(1/p)
-    base_measure: np.ndarray       # lumped base measure per band
-    weighted_measure: np.ndarray   # f^(m/2)-weighted measure per band
-    energy_measure: np.ndarray     # f^((m-p)/2)-weighted measure per band
     p: float
     pnorm_lhs: float = 0.0
     pnorm_rhs: float = 0.0
@@ -1049,10 +1042,11 @@ class RadialProfile:
     grad_rhs: float = 0.0
 
 
-def radial_average(mesh, u, f, p, n_bins=None):
+def radial_average(mesh, u, f, p):
     """Radial p-mean profile of u over colatitude bands.
 
-    Bands must span at least two element layers. The returned profile
+    The int(pi / (2.5 s)) equal bands, s the largest edge span in
+    colatitude, span over two element layers each. The returned profile
     carries two certified comparisons: the weighted p-norm of the profile
     against that of u (equal up to binning error), and the profile's
     weighted derivative energy against the full gradient energy (bounded
@@ -1061,13 +1055,7 @@ def radial_average(mesh, u, f, p, n_bins=None):
     if mesh.kind != "sphere":
         raise MeshError("radial averaging needs a sphere mesh")
     u = check_field(mesh, u)
-    span = mesh.max_edge_colatitude_span
-    max_bins = int(np.pi / (2.0 * span))
-    if n_bins is None:
-        n_bins = int(np.pi / (2.5 * span))
-    if n_bins > max_bins:
-        raise ValueError(f"binning too fine: at most {max_bins} bands "
-                         "(two element layers each)")
+    n_bins = int(np.pi / (2.5 * mesh.max_edge_colatitude_span))
     if n_bins < 3:
         raise ValueError("mesh too coarse for radial averaging")
     edges = np.linspace(0.0, np.pi, n_bins + 1)
@@ -1090,8 +1078,8 @@ def radial_average(mesh, u, f, p, n_bins=None):
     slopes = np.diff(ubar) / np.diff(centers)
     grad_lhs = float(np.sum(np.abs(slopes) ** p * 0.5 * (wband[:-1] + wband[1:])))
     grad_rhs = weighted_problem(mesh, f, p).numerator(u, 0.0)
-    return RadialProfile(centers, ubar, base, dband, wband, p,
-                         pnorm_lhs, pnorm_rhs, grad_lhs, grad_rhs)
+    return RadialProfile(centers, ubar, p, pnorm_lhs, pnorm_rhs, grad_lhs,
+                         grad_rhs)
 
 
 def split_band_plateau(profile, eps, p=None):

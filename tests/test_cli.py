@@ -760,6 +760,43 @@ class TestMalformedConfig:
         assert "Traceback" not in result.output
 
 
+ICO1 = {"kind": "icosphere", "level": 1}
+
+
+class TestValidationExits:
+    @pytest.mark.parametrize("command, config, message", [
+        ("eigen", {k: v for k, v in EIGEN_CIRCLE.items() if k != "mesh"},
+         "config is missing required key 'mesh'"),
+        ("eigen", {**EIGEN_CIRCLE, "mesh": {"kind": "torus"}},
+         "unknown mesh kind 'torus'"),
+        ("eigen", {**EIGEN_CIRCLE, "factor": {"kind": "bogus"}},
+         "unknown factor kind 'bogus'"),
+        ("verify-bound", {"mesh": ICO1, "p": 2.0, "n_factors": 0,
+                          "source": "bogus"},
+         "unknown bound source 'bogus'"),
+        ("reflect", EIGEN_CIRCLE, "reflection needs an icosphere mesh"),
+        ("balance", EIGEN_CIRCLE, "balancing needs an icosphere mesh"),
+        ("eigen", {**EIGEN_CIRCLE, "mesh": {**ICO1, "level": 2.5}},
+         "config key 'level' must be a JSON integer"),
+    ], ids=["missing-key", "mesh-kind", "factor-kind", "bound-source",
+            "reflect-circle", "balance-circle", "fractional-level"])
+    def test_exits_one_with_message(self, tmp_path, outdir, command, config,
+                                    message):
+        cfg = write_config(tmp_path / "c.json", config)
+        result = run([command, "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 1
+        assert result.output.split("error: ", 1)[1] == message + "\n"
+        assert "Traceback" not in result.output
+
+    def test_integral_float_level_reads_as_int(self, tmp_path, outdir):
+        cfg = write_config(tmp_path / "c.json", {
+            **EIGEN_CIRCLE, "mesh": {**ICO1, "level": 2.0}})
+        result = run(["eigen", "--config", cfg, "--out", str(outdir)])
+        assert result.exit_code == 0, result.output
+        header = (outdir / "mesh.off").read_text().splitlines()[1]
+        assert header.split()[0] == "162"
+
+
 @pytest.mark.parametrize("mesh, factor, word", [
     (EIGEN_CIRCLE["mesh"], {"kind": "cap", "direction": [1.0, 0.0]}, "cap"),
     ({"kind": "icosphere", "level": 1},

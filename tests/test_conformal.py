@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pspectra import (band_plateau_factor, build_circle,
-                      colatitude, energy_density_weight, load_factor_csv,
+                      energy_density_weight, load_factor_csv,
                       measure_density, normalize_unit_volume,
                       random_smooth_factor, save_factor_csv,
                       smooth_band_plateau_factor, volume)
@@ -52,14 +52,14 @@ class TestBandPlateau:
     def test_singular_values(self):
         m = build_circle(600, 2.0 * np.pi)
         f = band_plateau_factor(m, 0.1, 3.0)
-        r = colatitude(m)
+        r = m.colatitudes
         band = (r > np.pi / 2 - 0.1) & (r < np.pi / 2 + 0.1)
         assert np.all(f[band] == 1.0)
         assert np.all(f[~band] == pytest.approx(1e-6, rel=1e-12))
 
     def test_equator_vertex_in_band(self, sphere4):
         f = band_plateau_factor(sphere4, 0.35, 3.0)
-        on_eq = np.abs(colatitude(sphere4) - np.pi / 2) <= 1e-9
+        on_eq = np.abs(sphere4.colatitudes - np.pi / 2) <= 1e-9
         assert np.all(f[on_eq] == 1.0)
 
     def test_symmetric_about_equator(self, sphere4):
@@ -79,7 +79,7 @@ class TestBandPlateau:
     def test_smooth_inner_band_and_plateau(self, sphere4):
         eps = 0.4
         f = smooth_band_plateau_factor(sphere4, eps, 3.0)
-        r = colatitude(sphere4)
+        r = sphere4.colatitudes
         inner = np.abs(r - np.pi / 2) <= eps / 2
         outer = np.abs(r - np.pi / 2) >= eps
         assert np.all(f[inner] == 1.0)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,7 +219,8 @@ class TestMobiusMap:
         x = rng.standard_normal((300, 3))
         x /= np.linalg.norm(x, axis=1)[:, None]
         g = MobiusMap(unit([0.2, 0.5, -0.8]), 0.4)
-        err = np.linalg.norm(g.inverse().apply(g.apply(x)) - x, axis=1)
+        inverse = MobiusMap(-g.pole, g.t)
+        err = np.linalg.norm(inverse.apply(g.apply(x)) - x, axis=1)
         assert np.max(err) < 1e-9
 
     def test_parameter_validation(self):
@@ -338,6 +341,23 @@ class TestBalance:
         with pytest.raises(ValueError, match="p must be finite and exceed 1"):
             balanced_energy_bound(sphere2, f, sphere2.vertices, p)
 
+    def test_step_floor_before_any_root_at_p(self, sphere2, monkeypatch):
+        # every root misses tol, so the steps shrink to the floor without
+        # reaching p; the search then root-finds once at p itself
+        qs = []
+
+        def missing_root(fun, v, args, **kwargs):
+            qs.append(args[-1])
+            return SimpleNamespace(x=np.asarray(v), fun=np.ones(3), nfev=1)
+
+        monkeypatch.setattr(mobius, "root", missing_root)
+        dens = np.ones(sphere2.n_vertices)
+        res = balance(sphere2, sphere2.vertices, dens, 3.0)
+        assert qs[-1] == 3.0 and 3.0 not in qs[:-1]
+        assert res.evaluations == len(qs)
+        assert res.moment_norm == pytest.approx(np.sqrt(3.0))
+        assert not res.converged
+
     def test_p2_matches_center_of_mass_oracle(self, sphere3):
         # independent p = 2 solver: root-find the mapped coordinate means
         from scipy.optimize import root
@@ -370,7 +390,8 @@ class TestBalancedEnergyBound:
         # invariant energy 2 * area, eigenvalue reaches it (sharp case)
         f = normalize_unit_volume(sphere3, np.ones(sphere3.n_vertices))
         bound = balanced_energy_bound(sphere3, f, sphere3.vertices, 2.0)
-        assert bound == pytest.approx(2.0 * sphere3.total_measure, rel=1e-9)
+        assert bound == pytest.approx(2.0 * sphere3.element_measure.sum(),
+                                      rel=1e-9)
         res = solve_closed(sphere3, f, SolveOptions(p=2.0))
         assert res.lam <= bound * 1.02
         assert res.lam >= bound * 0.95

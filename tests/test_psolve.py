@@ -348,6 +348,17 @@ class TestSolveClosed:
             res.lam, rel=1e-12)
         assert res.history[-1] == pytest.approx(res.lam, rel=1e-6)
 
+    def test_constant_extra_start_is_skipped(self, sphere2):
+        # a constant start has no part off the p-mean constraint
+        f = random_smooth_factor(sphere2, seed=5, amplitude=0.8)
+        opts = SolveOptions(p=1.5)
+        alone = solve_closed(sphere2, f, opts)
+        res = solve_closed(sphere2, f, opts,
+                           extra_starts=[np.ones(sphere2.n_vertices)])
+        assert res.restarts == 0
+        assert (res.lam, res.iterations) == (alone.lam, alone.iterations)
+        assert np.array_equal(res.eigenfunction, alone.eigenfunction)
+
     def test_functional_scales_exactly(self, sphere3):
         rng = np.random.default_rng(11)
         u = rng.standard_normal(sphere3.n_vertices)
@@ -580,11 +591,6 @@ class TestRadialAverage:
         for p in [2.0, 3.0]:
             prof = radial_average(sphere5, u, ones(sphere5), p)
             assert prof.grad_lhs <= prof.grad_rhs * 1.01
-
-    def test_too_fine_binning_rejected(self, sphere3):
-        with pytest.raises(ValueError):
-            radial_average(sphere3, ones(sphere3), ones(sphere3), 2.0,
-                           n_bins=1000)
 
 
 class TestSplitBandPlateau:
