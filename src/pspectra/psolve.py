@@ -38,8 +38,11 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, diags
@@ -633,6 +636,48 @@ def _dissection_order(coords, pattern, leaf=32):
         sizes = counts[:, :2].ravel()
 
 
+@cache
+def _blas_threads():
+    """(get, set) of the thread count of scipy's OpenBLAS, which ARPACK
+    calls, looked up through a scipy BLAS extension (scipy's wheels link
+    one OpenBLAS for all of them), or None where the extension does not
+    reach them (MKL and other BLAS builds)."""
+    import ctypes
+    from scipy.linalg import _fblas
+    lib = ctypes.CDLL(_fblas.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads", None)
+    if not (get and put):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_BLAS_PIN = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with scipy's OpenBLAS at one thread and restore its
+    count after: ARPACK's BLAS reductions then add in one order whatever
+    the thread count, so the p = 2 eigenvector is bit-reproducible. The
+    count is per process, so pinned bodies run one at a time. Without the
+    thread-count symbols (_blas_threads) nothing is pinned."""
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    with _BLAS_PIN:
+        count = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(count)
+
+
 def _p2_eigenvector(prob):
     """First nonzero eigenvector of the pencil (K, diag(rho)) at p = 2.
 
@@ -648,7 +693,8 @@ def _p2_eigenvector(prob):
     every factor: its factorization is kept on the mesh's layout (see
     _Layout) and serves every p = 2 eigensolve on the mesh with bit-equal
     nw until a Newton system is factored there. Dirichlet problems take K
-    on the free vertices. A singular factorization or a failed ARPACK run
+    on the free vertices. ARPACK runs with scipy's BLAS at one thread
+    (_one_blas_thread). A singular factorization or a failed ARPACK run
     raises ConvergenceError.
     """
     closed = prob.fixed is None
@@ -678,7 +724,9 @@ def _p2_eigenvector(prob):
         # shift-invert eigsh reads only the shape of its matrix argument
         op = LinearOperator((free.size, free.size),
                             matvec=matvec if closed else solve, dtype=float)
-        _, vecs = eigsh(op, k=1, M=diags(rho), sigma=0.0, v0=v0, OPinv=op)
+        with _one_blas_thread():
+            _, vecs = eigsh(op, k=1, M=diags(rho), sigma=0.0, v0=v0,
+                            OPinv=op)
     except RuntimeError as exc:  # splu: a zero pivot; eigsh: ArpackError
         raise ConvergenceError(f"p = 2 eigensolve failed: {exc}") from exc
     u[free] = vecs[:, 0]
@@ -995,8 +1043,11 @@ def mirror_index(mesh):
 
     Requires the mesh to be mirror-symmetric: every mirrored vertex must land
     within 1e-6 shortest edges of a distinct vertex (the icosphere builder
-    guarantees this for its own pole).
+    guarantees this for its own pole). A mesh without a pole raises
+    MeshError.
     """
+    if mesh.pole is None:
+        raise MeshError("mesh has no pole")
     from scipy.spatial import cKDTree  # imported on first use
     n = mesh.vertices[mesh.pole]
     mirrored = mesh.vertices - 2.0 * (mesh.vertices @ n)[:, None] * n
@@ -1123,11 +1174,73 @@ def split_band_plateau(profile, eps, p=None):
 
 # -- 1-D shooting oracle -------------------------------------------------------
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: only the
-    oracle integrates, so no other command pays for the import."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
+_MIDPOINT_SUBSTEPS = (2, 4, 6, 8, 10)  # Deuflhard's sequence: order 10
+
+
+def _extrapolated_step(fun, t, y, f0, h):
+    """Increment of y over [t, t + h] and its error estimate: the modified
+    midpoint rule with each number of substeps in _MIDPOINT_SUBSTEPS,
+    extrapolated to zero substep length by Aitken-Neville in h^2 (Gragg,
+    Bulirsch & Stoer; Hairer, Norsett & Wanner, Solving ODEs I, II.9).
+    f0 = fun(t, y). The rule runs on increments, so its rounding is
+    relative to the change of y, not to y."""
+    row = []
+    for j, n in enumerate(_MIDPOINT_SUBSTEPS):
+        s = h / n
+        d0, d1 = [0.0] * len(y), [s * a for a in f0]
+        for m in range(1, n):
+            f = fun(t + m * s, [a + b for a, b in zip(y, d1)])
+            d0, d1 = d1, [a + 2.0 * s * b for a, b in zip(d0, f)]
+        f = fun(t + h, [a + b for a, b in zip(y, d1)])
+        new = [[(a + b + s * c) / 2.0 for a, b, c in zip(d1, d0, f)]]
+        for k, prev in enumerate(row):
+            r = (n / _MIDPOINT_SUBSTEPS[j - k - 1]) ** 2 - 1.0
+            new.append([a + (a - b) / r for a, b in zip(new[k], prev)])
+        row = new
+    return row[-1], [a - b for a, b in zip(row[-1], row[-2])]
+
+
+def solve_ivp(fun, t_span, y0, events, first_step, rtol, atol):
+    """Integrate y' = fun(t, y) over t_span from y0 until events(t, y)
+    falls through zero (a terminal event). y0 and fun's values are
+    sequences of floats, integrated one component at a time in Python
+    floats.
+
+    Steps are extrapolated midpoint steps (_extrapolated_step) of an
+    adaptive length, starting from first_step; a step is accepted when
+    its error estimate is within atol + rtol |y| in every component. The
+    event's time is the Brent root (_brentq) of the event on the length of
+    the accepted step that carries it through zero. The result has
+    `status` 1 and `t_events[0][0]` at the event, `status` 0 when the span
+    ends first, and `status` -1 with `message` when the step length falls
+    below the spacing of the floats.
+    """
+    t, end = t_span
+    y, h = list(y0), first_step
+    while t < end:
+        h = min(h, end - t)
+        if t + h == t:
+            return SimpleNamespace(status=-1, t_events=[[]],
+                                   message="step size too small")
+        f0 = fun(t, y)
+        d, est = _extrapolated_step(fun, t, y, f0, h)
+        new = [a + b for a, b in zip(y, d)]
+        err = max(abs(e) / (atol + rtol * max(abs(a), abs(b)))
+                  for e, a, b in zip(est, y, new))
+        if err <= 1.0:
+            if events(t + h, new) <= 0.0 < events(t, y):
+                def crossing(s):
+                    step = _extrapolated_step(fun, t, y, f0, s)[0]
+                    return events(t + s, [a + b for a, b in zip(y, step)])
+                s = _brentq(crossing, 0.0, h, 4.0 * math.ulp(t + h),
+                            4.0 * sys.float_info.epsilon)
+                return SimpleNamespace(status=1, t_events=[[t + s]],
+                                       message="event")
+            t, y = t + h, new
+        # the estimate is O(h^9); a nan err shrinks the step
+        h *= min(4.0, max(0.2, 0.9 * max(err, 1e-9) ** (-1.0 / 9.0)))
+    return SimpleNamespace(status=0, t_events=[[]],
+                           message="end of the span reached")
 
 
 def shooting_eigenvalue_1d(p, mode, halfwidth):
@@ -1139,25 +1252,29 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
 
     The equation -(|u'|^(p-2) u')' = lam |u|^(p-2) u is (p-1)-homogeneous:
     u(c t) solves it at lam = c^p when u solves it at lam = 1 (Drabek &
-    Manasevich, Differential Integral Equations 12, 1999). One integration
-    at lam = 1 from (u, v) = (u, |u'|^(p-2) u') = (0, 1) runs to the first
-    zero of the flux v, the quarter period T. Both modes span one quarter
+    Manasevich, Differential Integral Equations 12, 1999). At lam = 1 the
+    flux v = |u'|^(p-2) u' and u run from (u, v) = (0, 1) to (U, 0) over
+    the quarter period T, U = (p-1)^(1/p) by the conserved energy
+    |v|^r / r + |u|^p / p (r = p/(p-1)). Both modes span one quarter
     period on a halfwidth: the Dirichlet eigenfunction rises from u(-h) = 0
     to its maximum at 0, the odd Neumann mode from u(0) = 0 to its maximum
     at h.
     So lam = (T / h)^p in either mode, and a call with several halfwidths
     shares the one integration: each entry equals the one-halfwidth call's
     value bit for bit.
-    Energy conservation bounds the quarter period by p (p-1)^(1/p-1); the
-    span is four times that bound.
-    The solution is not smooth at either end of the quarter period, where
-    |u|^(p-1) and |v|^q (q = 1/(p-1)) have kinks. So the run starts past
-    the first, at t0 with t0^(2p) = 1e-16, from the series u = t - q
-    t^(p+1) / (p (p+1)), v = 1 - t^p / p, whose first neglected terms are
-    O(t^(2p)) relative; and it runs at rtol 1e-13, since at 1e-12 the
-    error estimate misses the second for q near 3 (lam off by up to 1.4e-10
-    near p = 4/3). Over p in [1.05, 10] lam is then within 1.5e-12
-    relative of the closed form. A run that fails or ends without the zero
+    The solution has a kink at either end of the quarter period, in
+    |u|^(p-1) at u = 0 and in |v|^(r-1) at v = 0. So one solve_ivp run
+    integrates both halves of the quarter period at once, each away from
+    its kink: (u, v) forward from (0, 1), and (w, z) backward from (U, 0),
+    which is (U v_r, U^(p-1) u_r) for the forward half (u_r, v_r) at the
+    conjugate exponent r. Both start at time t0 from the two-term series
+    of their end, t - t^(e+1) / ((e-1) e (e+1)) and 1 - t^e / e at exponent
+    e, whose first neglected terms are O(t0^(2e)) relative: t0^(2 min(p,
+    r)) = 1e-16. The halves meet at T/2, where (w - u) + (v - z) falls
+    through zero at the rate 2 |v|^(r-1) + 2 |u|^(p-1) > 0. Energy
+    conservation bounds T by p (p-1)^(1/p-1); the span is twice that
+    bound. At rtol 1e-14 lam is within 1e-13 relative of the closed form
+    over p in [1.05, 10]. A run that fails or ends before the halves meet
     raises ConvergenceError.
     """
     check_p(p)
@@ -1167,22 +1284,29 @@ def shooting_eigenvalue_1d(p, mode, halfwidth):
     widths = list(halfwidth) if many else [halfwidth]
     if not widths or not all(0.0 < h < math.inf for h in widths):
         raise ValueError("halfwidths must be finite and positive")
-    q = 1.0 / (p - 1.0)
+    k = p - 1.0
+    q, r = 1.0 / k, p / k
+    top = k ** (1.0 / p)
+    slope = top ** k
 
     def rhs(_, y):
-        u, v = y
-        return (math.copysign(abs(v) ** q, v),
-                -math.copysign(abs(u) ** (p - 1.0), u))
+        u, v, w, z = y
+        return (math.copysign(abs(v) ** q, v), -math.copysign(abs(u) ** k, u),
+                -math.copysign(abs(z) ** q, z), math.copysign(abs(w) ** k, w))
 
-    def flux_zero(_, y):
-        return y[1]
-    flux_zero.terminal, flux_zero.direction = True, -1
-    t0 = 1e-16 ** (0.5 / p)
-    start = (t0 - q * t0 ** (p + 1.0) / (p * (p + 1.0)), 1.0 - t0 ** p / p)
-    sol = solve_ivp(rhs, (t0, 4.0 * p * (p - 1.0) ** (1.0 / p - 1.0)),
-                    start, method="DOP853", rtol=1e-13, atol=1e-16,
-                    events=flux_zero)
+    def meeting(_, y):
+        u, v, w, z = y
+        return (w - u) + (v - z)
+
+    def series(e, t):  # (u, v) of the forward half at exponent e
+        return (t - t ** (e + 1.0) / ((e - 1.0) * e * (e + 1.0)),
+                1.0 - t ** e / e)
+    t0 = 1e-8 ** (1.0 / min(p, r))
+    (u, v), (z, w) = series(p, t0), series(r, t0)
+    sol = solve_ivp(rhs, (t0, 2.0 * p * k ** (1.0 / p - 1.0)),
+                    (u, v, top * w, slope * z), events=meeting,
+                    first_step=t0, rtol=1e-14, atol=1e-16)
     if sol.status != 1:
         raise ConvergenceError(f"shooting integration failed: {sol.message}")
-    lams = [float((sol.t_events[0][0] / h) ** p) for h in widths]
+    lams = [float((2.0 * sol.t_events[0][0] / h) ** p) for h in widths]
     return lams if many else lams[0]

@@ -641,8 +641,8 @@ class TestUsageErrors:
 class TestStartup:
     def test_solves_without_root_finding_leave_scipy_optimize_unloaded(
             self, tmp_path):
-        # only balance (MINPACK root) and dirichlet-scaling (solve_ivp)
-        # load scipy.optimize; a fresh interpreter shows what the rest load
+        # only balance (MINPACK root) loads scipy.optimize, and no command
+        # loads scipy.integrate; a fresh interpreter shows what the rest load
         bound = write_config(tmp_path / "vb.json", {
             "mesh": {"kind": "icosphere", "level": 2}, "p": 1.5,
             "n_factors": 1, "seed": 0})
@@ -650,14 +650,18 @@ class TestStartup:
             "mesh": {"kind": "icosphere", "level": 2}, "p": 1.5,
             "factor": {"kind": "constant", "value": 1.0},
             "problem": "closed", "seed": 0})
+        scaling = write_config(tmp_path / "d.json", {
+            "p": 3.0, "eps": [1.0, 0.5], "n": 20, "seed": 0})
         script = f"""
 import sys
 from pspectra.cli import main
-assert "scipy.optimize" not in sys.modules, "import"
-for name, cfg in [("verify-bound", {bound!r}), ("eigen", {eigen!r})]:
+unloaded = ("scipy.optimize", "scipy.integrate")
+assert not any(m in sys.modules for m in unloaded), "import"
+for name, cfg in [("verify-bound", {bound!r}), ("eigen", {eigen!r}),
+                  ("dirichlet-scaling", {scaling!r})]:
     main([name, "--config", cfg, "--out", {str(tmp_path)!r} + "/" + name],
          standalone_mode=False)
-    assert "scipy.optimize" not in sys.modules, name
+    assert not any(m in sys.modules for m in unloaded), name
 """
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(
@@ -666,7 +670,7 @@ for name, cfg in [("verify-bound", {bound!r}), ("eigen", {eigen!r})]:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert done.returncode == 0, done.stderr
-        for name in ("verify-bound", "eigen"):
+        for name in ("verify-bound", "eigen", "dirichlet-scaling"):
             assert (tmp_path / name / "results.json").exists()
 
 

@@ -46,3 +46,27 @@ def test_coarse_to_fine_solve_is_one_span(sphere3):
     assert solves[0]["attrs"]["iterations"] == res.iterations > 0
     assert tracing.self_check(tracer.spans, tracer.returned_iterations,
                               []) == []
+
+
+def test_dirichlet_scaling_integrates_once(tmp_path):
+    # the oracle's own integrator runs no nested solve_ivp, so one command
+    # is one ode_integration span, inside the one oracle span
+    import json
+    from pspectra import cli
+    tracing = _tracing()
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({"p": 3.0, "eps": [1.0, 0.5, 0.25], "n": 20,
+                               "seed": 0}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli.main(["dirichlet-scaling", "--config", str(cfg),
+                  "--out", str(tmp_path / "out")], standalone_mode=False)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    integrations = [s for s in spans if s["name"] == "psolve.ode_integration"]
+    oracles = [i for i, s in enumerate(spans) if s["name"] == "psolve.oracle"]
+    assert len(integrations) == 1 and len(oracles) == 1
+    assert integrations[0]["parent"] == oracles[0]
+    assert tracing.layer_metrics(spans)["psolve.ode_integrations"][0] == 1

@@ -397,6 +397,52 @@ class TestSolveClosed:
             for threads in ("1", "2")]
         assert hexes[0] == hexes[1]
 
+    def test_p2_eigensolve_ignores_blas_threads(self):
+        # verify-bound's level-5 cases at p = 2: ARPACK's own BLAS calls
+        # add in another order under two threads unless they are pinned
+        script = ("import numpy as np, pspectra as ps\n"
+                  "mesh = ps.build_icosphere(5)\n"
+                  "opts = ps.SolveOptions(p=2.0, residual_target=1e-3,\n"
+                  "                       max_iterations=9000)\n"
+                  "for f in [np.ones(mesh.n_vertices)] + [\n"
+                  "        ps.random_smooth_factor(mesh, s)\n"
+                  "        for s in range(3)]:\n"
+                  "    f = ps.normalize_unit_volume(mesh, f)\n"
+                  "    print(ps.solve_closed(mesh, f, opts).lam.hex())\n")
+        src = os.path.dirname(os.path.dirname(psolve.__file__))
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        hexes = [subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path,
+                            "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+        assert len(hexes[0].split()) == 4
+        assert hexes[0] == hexes[1]
+
+    def test_p2_eigensolves_restore_blas_threads(self, sphere2):
+        # concurrent pins, switching often: the count each one saves and
+        # restores must be the caller's, never another pin's 1
+        threads = psolve._blas_threads()
+        if threads is None:
+            pytest.skip("scipy's BLAS exports no thread-count symbols")
+        get, put = threads
+        count, interval = get(), sys.getswitchinterval()
+        factors = [random_smooth_factor(sphere2, seed=s) for s in range(8)]
+        try:
+            put(2)
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                lams = list(pool.map(
+                    lambda f: solve_closed(sphere2, f,
+                                           SolveOptions(p=2.0)).lam,
+                    factors, timeout=60))
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(count)
+        assert all(lam > 0.0 for lam in lams)
+
 
 class TestSolveDirichlet:
     def test_interval_p2(self, interval1000):
@@ -557,6 +603,15 @@ class TestMirrorIndex:
                                  pole=mesh.pole)
         with pytest.raises(MeshError, match="mirror-symmetric"):
             mirror_index(moved)
+
+    def test_mesh_without_pole_rejected(self, sphere2):
+        # the same error as extract_hemisphere's, not one from inside numpy
+        poleless = DiscreteManifold("sphere", sphere2.vertices,
+                                    sphere2.elements, sphere2.element_measure,
+                                    sphere2.boundary)
+        for call in (mirror_index, extract_hemisphere):
+            with pytest.raises(MeshError, match="mesh has no pole"):
+                call(poleless)
 
 
 class TestRadialAverage:
@@ -742,6 +797,28 @@ class TestShootingOracle:
         monkeypatch.setattr(psolve, "solve_ivp", no_solve_ivp)
         with pytest.raises(ValueError, match="finite"):
             shooting_eigenvalue_1d(p, "dirichlet", halfwidth)
+
+
+class TestSolveIvp:
+    # the oracle's integrator on its own: (sin t, cos t) from t = 0.1
+    @staticmethod
+    def run(span, fun=lambda _, y: (y[1], -y[0])):
+        return psolve.solve_ivp(fun, span, (math.sin(0.1), math.cos(0.1)),
+                                events=lambda _, y: y[1], first_step=1e-3,
+                                rtol=1e-14, atol=1e-16)
+
+    def test_event_at_first_zero(self):
+        sol = self.run((0.1, 10.0))
+        assert sol.status == 1
+        assert sol.t_events[0][0] == pytest.approx(math.pi / 2, rel=1e-14)
+
+    def test_span_ends_before_event(self):
+        sol = self.run((0.1, 1.5))
+        assert sol.status == 0 and sol.t_events == [[]]
+
+    def test_nan_derivative_fails(self):
+        sol = self.run((0.1, 10.0), fun=lambda _, y: (math.nan, y[0]))
+        assert sol.status == -1 and "step size" in sol.message
 
 
 class TestSolverInternals:
